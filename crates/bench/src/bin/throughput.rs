@@ -13,6 +13,12 @@
 //!                                           # engine sharded over 4 workers
 //! ```
 //!
+//! A full run (anything but `--smoke`/`--check`) measures both sweeps
+//! [`REPS`] times, interleaved, and reports the median repetition of each,
+//! with every repetition's rate and the host's facts (CPU model, load
+//! average before and after; the CPU count is `host_parallelism`)
+//! alongside.
+//!
 //! At `--sim-threads 1` (the default) the quantity tracked is the
 //! sequential simulation rate of the cycle-quantum engine (committed as
 //! `BENCH_simcore.json`); at higher counts it is the parallel-engine
@@ -29,6 +35,9 @@ use gpushield_sim::SimProfile;
 use gpushield_workloads::{by_name, cuda_set, Workload};
 use std::process::ExitCode;
 use std::time::Instant;
+
+/// Repetitions of a full run; the document reports the median one.
+const REPS: usize = 3;
 
 /// The three protection points Fig. 14 sweeps per workload.
 fn protections() -> [(&'static str, Protection); 3] {
@@ -101,6 +110,33 @@ fn smoke_sweep() -> Measure {
         wall_seconds: start.elapsed().as_secs_f64(),
         profile,
     }
+}
+
+/// The median-rate repetition, plus every repetition's rate in run order.
+fn median(mut reps: Vec<Measure>) -> (Measure, Vec<f64>) {
+    let rates = reps.iter().map(Measure::instrs_per_sec).collect();
+    reps.sort_by(|a, b| a.instrs_per_sec().total_cmp(&b.instrs_per_sec()));
+    let mid = reps.swap_remove(reps.len() / 2);
+    (mid, rates)
+}
+
+/// The 1-minute load average, when the host exposes one.
+fn loadavg() -> Json {
+    std::fs::read_to_string("/proc/loadavg")
+        .ok()
+        .and_then(|s| s.split_whitespace().next()?.parse().ok())
+        .map_or(Json::Null, Json::Float)
+}
+
+/// The CPU model, one of the host facts beside a wall-clock rate.
+fn cpu_model() -> String {
+    std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|s| {
+            let line = s.lines().find(|l| l.starts_with("model name"))?;
+            Some(line.split_once(':')?.1.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".to_string())
 }
 
 fn measure_json(m: &Measure) -> Json {
@@ -180,11 +216,10 @@ fn main() -> ExitCode {
         }
     }
 
-    let smoke_m = smoke_sweep();
-    print_measure("smoke (vectoradd x3 prot x20)", &smoke_m);
-
     // CI gate: compare the smoke rate against the committed document.
     if let Some(path) = check {
+        let smoke_m = smoke_sweep();
+        print_measure("smoke (vectoradd x3 prot x20)", &smoke_m);
         let text = match std::fs::read_to_string(&path) {
             Ok(t) => t,
             Err(e) => {
@@ -221,11 +256,27 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
     if smoke {
+        print_measure("smoke (vectoradd x3 prot x20)", &smoke_sweep());
         return ExitCode::SUCCESS;
     }
 
-    let full = sweep(&cuda_set());
-    print_measure("fig14 set (cuda_set x3 prot)", &full);
+    let mut host = Json::obj();
+    host.set("cpu", Json::Str(cpu_model()));
+    host.set("loadavg_before", loadavg());
+    let (mut smokes, mut fulls) = (Vec::new(), Vec::new());
+    for _ in 0..REPS {
+        smokes.push(smoke_sweep());
+        print_measure("smoke (vectoradd x3 prot x20)", &smokes[smokes.len() - 1]);
+        fulls.push(sweep(&cuda_set()));
+        print_measure("fig14 set (cuda_set x3 prot)", &fulls[fulls.len() - 1]);
+    }
+    host.set("loadavg_after", loadavg());
+    let ((smoke_m, smoke_rates), (full, full_rates)) = (median(smokes), median(fulls));
+    eprintln!(
+        "median of {REPS}: smoke {:.0}, fig14 set {:.0} instrs/sec",
+        smoke_m.instrs_per_sec(),
+        full.instrs_per_sec()
+    );
 
     let mut doc = Json::obj();
     let st = gpushield_bench::runner::sim_threads();
@@ -255,9 +306,16 @@ fn main() -> ExitCode {
         Json::UInt(gpushield_runtime::pool::available_parallelism() as u64),
     );
     doc.set("config_fingerprint", Json::Str(config_fingerprint()));
-    doc.set("full", measure_json(&full));
+    doc.set("host", host);
+    let rep_rates = |rates: Vec<f64>| Json::Arr(rates.into_iter().map(Json::Float).collect());
+    doc.set("full", {
+        let mut f = measure_json(&full);
+        f.set("rep_instrs_per_sec", rep_rates(full_rates));
+        f
+    });
     doc.set("smoke", {
         let mut s = measure_json(&smoke_m);
+        s.set("rep_instrs_per_sec", rep_rates(smoke_rates));
         s.set("workload", Json::Str("vectoradd x3 prot x20".to_string()));
         s
     });

@@ -66,7 +66,9 @@ pub fn coalesce_warp_into(lane_addrs: &[Option<u64>], width: u64, txs: &mut Vec<
         let last = Transaction::covering(addr + width.saturating_sub(1));
         let mut t = first;
         loop {
-            if !txs.contains(&t) {
+            // Neighbouring lanes mostly share the line just added, so the
+            // last entry answers before the linear scan.
+            if txs.last() != Some(&t) && !txs.contains(&t) {
                 txs.push(t);
             }
             if t == last {
@@ -128,6 +130,37 @@ mod tests {
     fn range_is_min_to_max_end() {
         let addrs = vec![Some(100u64), None, Some(10), Some(60)];
         assert_eq!(warp_address_range(&addrs, 4), Some((10, 104)));
+    }
+
+    #[test]
+    fn duplicated_non_adjacent_lines_stay_unique_and_sorted() {
+        // Lines revisited after other lines in between: the last-entry
+        // check alone would miss these duplicates.
+        let addrs = vec![
+            Some(0x300u64),
+            Some(0x100),
+            Some(0x304),
+            Some(0x180),
+            Some(0x108),
+            None,
+            Some(0x300),
+            Some(0x17f),
+        ];
+        let bases: Vec<u64> = coalesce_warp(&addrs, 4).iter().map(|t| t.base).collect();
+        // 0x17f..0x183 straddles 0x100/0x180.
+        assert_eq!(bases, vec![0x100, 0x180, 0x300]);
+    }
+
+    #[test]
+    fn straddling_lanes_share_lines_with_neighbours() {
+        // Each 8-byte access at 124 + 128k straddles lines k and k+1, so
+        // every line but the first is reached twice, from different lanes.
+        let addrs: Vec<Option<u64>> = (0..4).map(|k| Some(124 + 128 * k)).collect();
+        let bases: Vec<u64> = coalesce_warp(&addrs, 8).iter().map(|t| t.base).collect();
+        assert_eq!(bases, vec![0, 128, 256, 384, 512]);
+        let mut rev = addrs.clone();
+        rev.reverse();
+        assert_eq!(coalesce_warp(&rev, 8), coalesce_warp(&addrs, 8));
     }
 
     #[test]

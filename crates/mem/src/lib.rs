@@ -34,4 +34,6 @@ pub use telemetry::{
     publish_cache_stats, publish_dram_channels, publish_dram_stats, publish_tlb_stats,
 };
 pub use tlb::{Tlb, TlbStats};
-pub use vm::{AllocPolicy, Allocation, MemFault, VirtualMemorySpace, PAGE_SIZE, REGION_SIZE};
+pub use vm::{
+    AllocPolicy, Allocation, LaneFault, MemFault, VirtualMemorySpace, PAGE_SIZE, REGION_SIZE,
+};

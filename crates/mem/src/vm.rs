@@ -103,6 +103,16 @@ impl fmt::Display for MemFault {
 
 impl Error for MemFault {}
 
+/// The first fault of a warp-wide access: the failing lane and its fault.
+/// Lanes before it were delivered (loads) or written (stores).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LaneFault {
+    /// Index of the faulting lane.
+    pub lane: usize,
+    /// The fault that lane's per-lane access raised.
+    pub fault: MemFault,
+}
+
 #[derive(Debug, Clone, Copy)]
 struct Region {
     start: u64,
@@ -204,6 +214,14 @@ fn copy_in(src: &[u8], dst: &[AtomicU8]) {
     for (s, d) in src.iter().zip(dst) {
         d.store(*s, Ordering::Relaxed);
     }
+}
+
+/// The in-page offset of a `width`-byte access at `va`, or `None` when it
+/// straddles a page or the width is outside 1..=8.
+#[inline]
+fn in_page(va: u64, width: u64) -> Option<usize> {
+    let off = va % PAGE_SIZE;
+    ((1..=8).contains(&width) && off + width <= PAGE_SIZE).then_some(off as usize)
 }
 
 /// Pages per page-table leaf (512 × 4 KB = one 2 MB region per leaf).
@@ -460,6 +478,107 @@ impl VirtualMemorySpace {
         self.write(va, &bytes[..width as usize])
     }
 
+    /// Translates every active lane's address (`None` = masked-off lane)
+    /// in lane order, walking each run of same-page lanes once: a page that
+    /// translated cannot fault for another address on it.
+    ///
+    /// # Errors
+    ///
+    /// The first failing lane, with the fault
+    /// [`VirtualMemorySpace::translate`] raises for its address.
+    pub fn translate_lanes(&self, lane_vas: &[Option<u64>]) -> Result<(), LaneFault> {
+        let mut ok_page = u64::MAX;
+        for (lane, va) in lane_vas.iter().enumerate() {
+            let Some(va) = *va else { continue };
+            if va / PAGE_SIZE != ok_page {
+                self.translate(va)
+                    .map_err(|fault| LaneFault { lane, fault })?;
+                ok_page = va / PAGE_SIZE;
+            }
+        }
+        Ok(())
+    }
+
+    /// Warp-wide [`VirtualMemorySpace::read_uint`]: reads `width` bytes at
+    /// every active lane's address into `out[lane]`, in lane order. The
+    /// current page's frame is kept across lanes; a page-straddling lane
+    /// (or a bad width) takes the per-lane path.
+    ///
+    /// # Errors
+    ///
+    /// The first faulting lane, with exactly the fault `read_uint` raises
+    /// for it; every earlier lane has been delivered.
+    pub fn read_lanes(
+        &self,
+        lane_vas: &[Option<u64>],
+        width: u64,
+        out: &mut [u64],
+    ) -> Result<(), LaneFault> {
+        let mut page: Option<(u64, Option<&[AtomicU8]>)> = None;
+        for (lane, va) in lane_vas.iter().enumerate() {
+            let Some(va) = *va else { continue };
+            let err = |fault| LaneFault { lane, fault };
+            let Some(off) = in_page(va, width) else {
+                out[lane] = self.read_uint(va, width).map_err(err)?;
+                continue;
+            };
+            let frame = match page {
+                Some((pn, frame)) if pn == va / PAGE_SIZE => frame,
+                _ => {
+                    let pa = self.translate(va).map_err(err)?;
+                    let frame = self.frame(pa / PAGE_SIZE);
+                    page = Some((va / PAGE_SIZE, frame));
+                    frame
+                }
+            };
+            let mut buf = [0u8; 8];
+            if let Some(f) = frame {
+                copy_out(&f[off..off + width as usize], &mut buf[..width as usize]);
+            }
+            out[lane] = u64::from_le_bytes(buf);
+        }
+        Ok(())
+    }
+
+    /// Warp-wide [`VirtualMemorySpace::write_uint`]: writes the low `width`
+    /// bytes of `vals[lane]` at every active lane's address, in lane order
+    /// (a later lane wins a shared address), keeping the current page's
+    /// frame across lanes as [`VirtualMemorySpace::read_lanes`] does.
+    ///
+    /// # Errors
+    ///
+    /// The first faulting lane, with exactly the fault `write_uint` raises
+    /// for it; every earlier lane (and, as with `write_uint`, the bytes of
+    /// a straddling lane before its fault) has been written.
+    pub fn write_lanes(
+        &self,
+        lane_vas: &[Option<u64>],
+        width: u64,
+        vals: &[u64],
+    ) -> Result<(), LaneFault> {
+        let mut page: Option<(u64, &[AtomicU8])> = None;
+        for (lane, va) in lane_vas.iter().enumerate() {
+            let Some(va) = *va else { continue };
+            let err = |fault| LaneFault { lane, fault };
+            let Some(off) = in_page(va, width) else {
+                self.write_uint(va, width, vals[lane]).map_err(err)?;
+                continue;
+            };
+            let frame = match page {
+                Some((pn, frame)) if pn == va / PAGE_SIZE => frame,
+                _ => {
+                    let pa = self.translate(va).map_err(err)?;
+                    let frame = self.frame_init(pa / PAGE_SIZE);
+                    page = Some((va / PAGE_SIZE, frame));
+                    frame
+                }
+            };
+            let bytes = vals[lane].to_le_bytes();
+            copy_in(&bytes[..width as usize], &frame[off..off + width as usize]);
+        }
+        Ok(())
+    }
+
     /// Bypass-translation write used by the driver/hardware for RBT pages.
     ///
     /// # Errors
@@ -605,6 +724,194 @@ mod tests {
         assert_eq!(VirtualMemorySpace::pages_spanned(4095, 2), 2);
         assert_eq!(VirtualMemorySpace::pages_spanned(0, 0), 0);
         assert_eq!(VirtualMemorySpace::pages_spanned(512, 8192), 3);
+    }
+
+    /// The per-lane reference for [`VirtualMemorySpace::read_lanes`].
+    fn read_per_lane(
+        vm: &VirtualMemorySpace,
+        vas: &[Option<u64>],
+        width: u64,
+        out: &mut [u64],
+    ) -> Result<(), LaneFault> {
+        for (lane, va) in vas.iter().enumerate() {
+            if let Some(va) = *va {
+                out[lane] = vm
+                    .read_uint(va, width)
+                    .map_err(|fault| LaneFault { lane, fault })?;
+            }
+        }
+        Ok(())
+    }
+
+    /// The per-lane reference for [`VirtualMemorySpace::write_lanes`].
+    fn write_per_lane(
+        vm: &VirtualMemorySpace,
+        vas: &[Option<u64>],
+        width: u64,
+        vals: &[u64],
+    ) -> Result<(), LaneFault> {
+        for (lane, va) in vas.iter().enumerate() {
+            if let Some(va) = *va {
+                vm.write_uint(va, width, vals[lane])
+                    .map_err(|fault| LaneFault { lane, fault })?;
+            }
+        }
+        Ok(())
+    }
+
+    /// A space with a two-page buffer whose first page holds a byte
+    /// pattern and whose second page was never touched, followed by a
+    /// protected isolated page; returns (space, buffer, protected VA).
+    fn lanes_space() -> Result<(VirtualMemorySpace, Allocation, u64), MemFault> {
+        let mut vm = VirtualMemorySpace::new();
+        let a = vm.alloc(2 * PAGE_SIZE, AllocPolicy::Device512)?;
+        let bytes: Vec<u8> = (0..PAGE_SIZE).map(|i| (i * 37 + 11) as u8).collect();
+        vm.write(a.va, &bytes)?;
+        let p = vm.alloc(PAGE_SIZE, AllocPolicy::Isolated)?;
+        vm.protect(p.va, p.size);
+        Ok((vm, a, p.va))
+    }
+
+    /// Lane layouts covering: page-straddling lanes, the never-touched
+    /// (zero) page, repeated addresses, masked-off lanes, an unmapped lane
+    /// mid-warp, a protected lane, and a lane straddling off the end of
+    /// the mapped region.
+    fn lane_layouts(a: &Allocation, protected: u64) -> Vec<Vec<Option<u64>>> {
+        let page2 = a.va + PAGE_SIZE;
+        let region_end = (a.va / REGION_SIZE + 1) * REGION_SIZE;
+        let mut layouts = vec![
+            (0..32).map(|l| Some(a.va + 4 * l)).collect(),
+            (0..32).map(|l| Some(page2 - 64 + 3 * l)).collect(),
+            (0..32)
+                .map(|l| (l % 3 != 0).then_some(page2 + 8 * l))
+                .collect(),
+            vec![
+                Some(a.va),
+                Some(a.va + 1),
+                Some(a.va),
+                None,
+                Some(page2 - 2),
+            ],
+        ];
+        for wild in [0x10, a.va + 64 * REGION_SIZE, protected, region_end - 2] {
+            let mut l: Vec<Option<u64>> = (0..8).map(|l| Some(a.va + 8 * l)).collect();
+            l[5] = Some(wild);
+            layouts.push(l);
+        }
+        layouts
+    }
+
+    #[test]
+    fn read_lanes_matches_per_lane_reads() -> Result<(), MemFault> {
+        let (vm, a, protected) = lanes_space()?;
+        for vas in lane_layouts(&a, protected) {
+            for width in [0, 1, 2, 4, 8, 9] {
+                let (mut got, mut want) = (vec![0xAAu64; vas.len()], vec![0xAAu64; vas.len()]);
+                let r = vm.read_lanes(&vas, width, &mut got);
+                assert_eq!(
+                    r,
+                    read_per_lane(&vm, &vas, width, &mut want),
+                    "{vas:x?} w{width}"
+                );
+                assert_eq!(got, want, "{vas:x?} w{width}");
+            }
+        }
+        // The fault is the per-lane one: first failing lane, its own VA;
+        // earlier lanes delivered, later lanes untouched.
+        let mut vas: Vec<Option<u64>> = (0..8).map(|l| Some(a.va + 8 * l)).collect();
+        vas[5] = Some(0x10);
+        vas[6] = Some(protected);
+        let mut out = vec![7u64; 8];
+        let err = vm.read_lanes(&vas, 4, &mut out).unwrap_err();
+        assert_eq!(
+            err,
+            LaneFault {
+                lane: 5,
+                fault: MemFault::Unmapped { va: 0x10 }
+            }
+        );
+        assert_eq!(out[4], vm.read_uint(a.va + 32, 4)?);
+        assert_eq!(&out[5..], &[7, 7, 7]);
+        // A never-touched page reads zero and stays unmaterialized.
+        let mut z = [1u64; 2];
+        let page2 = [Some(a.va + PAGE_SIZE), Some(a.va + PAGE_SIZE + 100)];
+        assert_eq!(vm.read_lanes(&page2, 8, &mut z), Ok(()));
+        assert_eq!(z, [0, 0]);
+        let pa = vm.translate(a.va + PAGE_SIZE)?;
+        assert!(vm.frame(pa / PAGE_SIZE).is_none());
+        assert_eq!(
+            vm.read_lanes(&[None, Some(a.va)], 9, &mut z),
+            Err(LaneFault {
+                lane: 1,
+                fault: MemFault::BadWidth { width: 9 }
+            })
+        );
+        assert_eq!(vm.read_lanes(&[None, None], 0, &mut z), Ok(()));
+        Ok(())
+    }
+
+    #[test]
+    fn write_lanes_matches_per_lane_writes() -> Result<(), MemFault> {
+        let probe = |vm: &VirtualMemorySpace, a: &Allocation| {
+            let mut all = vec![0u8; (2 * PAGE_SIZE) as usize];
+            let mut tail = [0u8; 2];
+            let region_end = (a.va / REGION_SIZE + 1) * REGION_SIZE;
+            vm.read(a.va, &mut all)?;
+            vm.read(region_end - 2, &mut tail)?;
+            Ok::<_, MemFault>((all, tail))
+        };
+        let (_, a, protected) = lanes_space()?;
+        for vas in lane_layouts(&a, protected) {
+            for width in [0, 1, 2, 4, 8, 9] {
+                let vals: Vec<u64> = (0..vas.len() as u64)
+                    .map(|l| 0x0102_0304_0506_0708u64.wrapping_mul(l + 1))
+                    .collect();
+                let ((got, ..), (want, ..)) = (lanes_space()?, lanes_space()?);
+                let r = got.write_lanes(&vas, width, &vals);
+                assert_eq!(
+                    r,
+                    write_per_lane(&want, &vas, width, &vals),
+                    "{vas:x?} w{width}"
+                );
+                // Same bytes written, including a straddling lane's bytes
+                // before its fault and the later of two same-address lanes.
+                assert_eq!(probe(&got, &a)?, probe(&want, &a)?, "{vas:x?} w{width}");
+            }
+        }
+        let (vm, a, _) = lanes_space()?;
+        let vas = [Some(a.va), Some(0x10), Some(a.va + 8)];
+        let err = vm.write_lanes(&vas, 8, &[1, 2, 3]).unwrap_err();
+        assert_eq!(
+            err,
+            LaneFault {
+                lane: 1,
+                fault: MemFault::Unmapped { va: 0x10 }
+            }
+        );
+        assert_eq!(vm.read_uint(a.va, 8), Ok(1));
+        assert_ne!(vm.read_uint(a.va + 8, 8), Ok(3));
+        Ok(())
+    }
+
+    #[test]
+    fn translate_lanes_reports_the_first_failing_lane() -> Result<(), MemFault> {
+        let (vm, a, protected) = lanes_space()?;
+        for vas in lane_layouts(&a, protected) {
+            let want = vas.iter().enumerate().find_map(|(lane, va)| {
+                let fault = vm.translate((*va)?).err()?;
+                Some(LaneFault { lane, fault })
+            });
+            assert_eq!(vm.translate_lanes(&vas).err(), want, "{vas:x?}");
+        }
+        let vas = [Some(a.va), Some(protected), Some(0x10)];
+        assert_eq!(
+            vm.translate_lanes(&vas),
+            Err(LaneFault {
+                lane: 1,
+                fault: MemFault::Protected { va: protected }
+            })
+        );
+        Ok(())
     }
 
     #[test]

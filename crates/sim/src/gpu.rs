@@ -4,17 +4,13 @@
 
 use crate::config::GpuConfig;
 use crate::fault::{self, FaultKind, FaultSession};
-use crate::guard::{GuardVerdict, MemAccess, MemGuard};
+use crate::guard::{GuardVerdict, MemGuard};
 use crate::launch::{KernelLaunch, SiteCheck};
 use crate::stats::{self, AbortReason, LaunchReport, RunReport, SimProfile};
 use crate::trace::{Trace, TraceEvent, TraceKind};
 use crate::warp::{ExecCtx, SimpleOutcome, Warp};
-use gpushield_isa::{AddrExpr, Instr, MemSpace, ReconvergenceTable, TaggedPtr};
-use gpushield_mem::coalesce::warp_address_range;
-use gpushield_mem::{
-    coalesce_warp_into, Cache, MemFault, Replacement, SharedMemorySystem, Tlb, Transaction,
-    VirtualMemorySpace,
-};
+use gpushield_isa::{Instr, MemSpace, ReconvergenceTable, TaggedPtr};
+use gpushield_mem::{Cache, Replacement, SharedMemorySystem, Tlb, VirtualMemorySpace};
 use gpushield_telemetry::flight::{FlightEvent, FlightRecorder};
 use gpushield_telemetry::{MetricId, Registry};
 use std::collections::HashMap;
@@ -28,7 +24,11 @@ use std::fmt;
 #[path = "par.rs"]
 mod par;
 
-const VA_MASK: u64 = (1 << 48) - 1;
+/// The LSU lane front end both engines share.
+#[path = "lsu.rs"]
+mod lsu;
+
+use lsu::{MemOp, Miss, WarpScratch};
 
 /// How concurrent kernels share the GPU (§6.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -110,24 +110,6 @@ struct ResidentWg {
     shared: Vec<u8>,
 }
 
-/// Reusable per-core lane buffers for the LSU/AGU path. Taken out of the
-/// core with `mem::take` for the duration of one memory instruction and
-/// put back afterwards, so the steady-state hot path performs no heap
-/// allocation — the vectors keep their capacity across instructions.
-#[derive(Default)]
-struct WarpScratch {
-    /// Per-lane effective addresses (`None` = masked-off lane).
-    lane_vas: Vec<Option<u64>>,
-    /// Per-lane store/addend values (empty for loads).
-    store_vals: Vec<u64>,
-    /// Per-lane `malloc` request sizes.
-    lane_sizes: Vec<Option<u64>>,
-    /// Per-lane `malloc` result pointers.
-    results: Vec<Option<u64>>,
-    /// Coalesced transactions of the current access.
-    txs: Vec<Transaction>,
-}
-
 struct Core {
     l1d: Cache,
     l1tlb: Tlb,
@@ -179,6 +161,167 @@ impl Core {
     fn shared_in_use(&self) -> u64 {
         self.wgs.iter().map(|w| w.shared.len() as u64).sum()
     }
+
+    /// Whether one more workgroup of launch `li` fits beside the resident
+    /// ones.
+    fn fits(&self, cfg: &GpuConfig, launches: &[LaunchState], li: usize) -> bool {
+        debug_assert_eq!(self.regs_used, self.regs_in_use(launches));
+        debug_assert_eq!(self.shared_used, self.shared_in_use());
+        let ls = &launches[li];
+        self.resident_warps() + ls.warps_per_wg <= cfg.max_warps_per_core()
+            && self.regs_used + ls.regs_per_wg(cfg) <= cfg.regs_per_core
+            && self.shared_used + ls.launch.kernel.shared_bytes() <= cfg.shared_per_core
+    }
+
+    /// Places workgroup `wg` of launch `li`: its warps are ready at `cycle`
+    /// and take the next ages from `age_seq`.
+    fn place_wg(
+        &mut self,
+        cfg: &GpuConfig,
+        (li, ls): (usize, &LaunchState),
+        wg: u64,
+        cycle: u64,
+        age_seq: &mut u64,
+    ) {
+        let (num_regs, shared_bytes) =
+            (ls.launch.kernel.num_regs(), ls.launch.kernel.shared_bytes());
+        self.wgs.push(ResidentWg {
+            launch_idx: li,
+            wg,
+            shared: vec![0u8; shared_bytes as usize],
+        });
+        self.regs_used += ls.regs_per_wg(cfg);
+        self.shared_used += shared_bytes;
+        // The new warps are ready now; wake the core if it was parked on a
+        // later `next_ready_at`.
+        self.next_ready_at = self.next_ready_at.min(cycle);
+        let block = ls.launch.launch.block as usize;
+        for w in 0..ls.warps_per_wg {
+            let lanes = (block - w * cfg.warp_width).min(cfg.warp_width);
+            let mut warp = Warp::new(li, wg, w, cfg.warp_width, lanes, num_regs, *age_seq);
+            warp.ready_at = cycle;
+            *age_seq += 1;
+            self.warps.push(warp);
+        }
+    }
+
+    /// Greedy-then-oldest warp pick at cycle `t`: the last-issued warp
+    /// while it stays ready, else the oldest ready one. Warps are appended
+    /// in age order and only ever removed, so the first ready one is the
+    /// oldest.
+    fn pick_warp(&self, t: u64) -> Option<usize> {
+        let ready = |w: &Warp| !w.done && !w.at_barrier && !w.blocked && w.ready_at <= t;
+        if let Some(i) = self.last_issued {
+            if self.warps.get(i).is_some_and(ready) {
+                return Some(i);
+            }
+        }
+        debug_assert!(ages_ascend(&self.warps));
+        self.warps.iter().position(ready)
+    }
+
+    /// Live warps and, of those, the ones ready to issue at cycle `t`.
+    fn occupancy(&self, t: u64) -> (u64, u64) {
+        let live = self.warps.iter().filter(|w| !w.done);
+        let ready = live
+            .clone()
+            .filter(|w| !w.at_barrier && !w.blocked && w.ready_at <= t);
+        (live.count() as u64, ready.count() as u64)
+    }
+
+    /// The earliest cycle any resident warp can issue (`u64::MAX` if none).
+    fn next_ready(&self) -> u64 {
+        self.warps
+            .iter()
+            .filter(|w| !w.done && !w.at_barrier && !w.blocked)
+            .map(|w| w.ready_at)
+            .min()
+            .unwrap_or(u64::MAX)
+    }
+
+    /// Releases workgroup `wg` of launch `li` from its barrier at cycle
+    /// `t` once every live warp has arrived.
+    fn release_barrier(&mut self, li: usize, wg: u64, t: u64) {
+        let member = |w: &Warp| w.launch_idx == li && w.wg == wg;
+        let members = || self.warps.iter().filter(|w| member(w));
+        let all_arrived = members().filter(|w| !w.done).all(|w| w.at_barrier);
+        if all_arrived && members().any(|w| w.at_barrier) {
+            for w in self.warps.iter_mut().filter(|w| member(w) && w.at_barrier) {
+                w.at_barrier = false;
+                w.ready_at = t + 1;
+            }
+        }
+    }
+
+    /// Warp `wi` arrives at its workgroup's barrier at cycle `t`, which
+    /// releases the barrier if it was the last. Returns the warp's
+    /// (launch, workgroup, warp-in-workgroup).
+    fn arrive_at_barrier(&mut self, wi: usize, t: u64) -> (usize, u64, usize) {
+        let w = &mut self.warps[wi];
+        w.at_barrier = true;
+        w.advance_pc();
+        let (li, wg, win) = (w.launch_idx, w.wg, w.warp_in_wg);
+        self.release_barrier(li, wg, t);
+        (li, wg, win)
+    }
+
+    /// Frees workgroup `wg` of launch `li` once all its warps are done,
+    /// returning `freed_regs` registers and its shared memory. Returns
+    /// whether the workgroup retired.
+    fn retire_wg_if_done(&mut self, li: usize, wg: u64, freed_regs: usize) -> bool {
+        let ours = |l: usize, g: u64| l == li && g == wg;
+        if !self
+            .warps
+            .iter()
+            .filter(|w| ours(w.launch_idx, w.wg))
+            .all(|w| w.done)
+        {
+            return false;
+        }
+        let freed_shared: u64 = (self.wgs.iter())
+            .filter(|g| ours(g.launch_idx, g.wg))
+            .map(|g| g.shared.len() as u64)
+            .sum();
+        self.warps.retain(|w| !ours(w.launch_idx, w.wg));
+        self.wgs.retain(|g| !ours(g.launch_idx, g.wg));
+        self.last_issued = None;
+        self.regs_used = self.regs_used.saturating_sub(freed_regs);
+        self.shared_used = self.shared_used.saturating_sub(freed_shared);
+        true
+    }
+
+    /// Strips every warp and workgroup of aborted launch `li`. Aborts are
+    /// rare: the occupancy caches are recomputed from scratch.
+    fn strip_launch(&mut self, li: usize, launches: &[LaunchState]) {
+        self.warps.retain(|w| w.launch_idx != li);
+        self.wgs.retain(|g| g.launch_idx != li);
+        self.last_issued = None;
+        self.regs_used = self.regs_in_use(launches);
+        self.shared_used = self.shared_in_use();
+    }
+}
+
+/// Whether `core_idx` may host launch `launch_idx` of `n_launches` (§6.2:
+/// inter-core mode partitions the cores between the launches).
+fn launch_allowed_on_core(
+    cfg: &GpuConfig,
+    mode: MultiKernelMode,
+    n_launches: usize,
+    launch_idx: usize,
+    core_idx: usize,
+) -> bool {
+    match mode {
+        MultiKernelMode::IntraCore => true,
+        MultiKernelMode::InterCore => {
+            let per = cfg.num_cores.div_ceil(n_launches);
+            core_idx / per == launch_idx.min(cfg.num_cores / per)
+        }
+    }
+}
+
+/// The scheduler's invariant: a core's warps sit in dispatch (age) order.
+fn ages_ascend(warps: &[Warp]) -> bool {
+    warps.windows(2).all(|p| p[0].age < p[1].age)
 }
 
 struct LaunchState {
@@ -196,6 +339,21 @@ struct LaunchState {
 }
 
 impl LaunchState {
+    /// Registers one of the launch's workgroups occupies.
+    fn regs_per_wg(&self, cfg: &GpuConfig) -> usize {
+        self.warps_per_wg * usize::from(self.launch.kernel.num_regs()) * cfg.warp_width
+    }
+
+    /// The uniform values the launch's warps evaluate operands against.
+    fn ctx(&self) -> ExecCtx<'_> {
+        ExecCtx {
+            args: &self.launch.args,
+            local_bases: &self.launch.local_bases,
+            block_dim: u64::from(self.launch.launch.block),
+            grid_dim: u64::from(self.launch.launch.grid),
+        }
+    }
+
     fn finished(&self) -> bool {
         self.aborted || self.wgs_retired == u64::from(self.launch.launch.grid)
     }
@@ -610,32 +768,11 @@ impl<'c, 'v, 'g, 't> RunState<'c, 'v, 'g, 't> {
         }
         let stride = t.reg.stride();
         t.next_sample = (self.cycle / stride + 1) * stride;
-        let mut resident = 0u64;
-        let mut ready = 0u64;
-        for core in &self.cores {
-            for w in &core.warps {
-                if w.done {
-                    continue;
-                }
-                resident += 1;
-                if !w.at_barrier && !w.blocked && w.ready_at <= self.cycle {
-                    ready += 1;
-                }
-            }
-        }
+        let (resident, ready) = (self.cores.iter())
+            .map(|c| c.occupancy(self.cycle))
+            .fold((0, 0), |(a, b), (r, q)| (a + r, b + q));
         t.reg.sample(t.resident_warps, self.cycle, resident);
         t.reg.sample(t.ready_warps, self.cycle, ready);
-    }
-
-    fn launch_allowed_on_core(&self, launch_idx: usize, core_idx: usize) -> bool {
-        match self.mode {
-            MultiKernelMode::IntraCore => true,
-            MultiKernelMode::InterCore => {
-                let n = self.launches.len();
-                let per = self.cfg.num_cores.div_ceil(n);
-                core_idx / per == launch_idx.min(self.cfg.num_cores / per)
-            }
-        }
     }
 
     fn try_dispatch(&mut self) {
@@ -660,7 +797,7 @@ impl<'c, 'v, 'g, 't> RunState<'c, 'v, 'g, 't> {
                     if self.launches[li].aborted
                         || self.launches[li].next_wg
                             >= u64::from(self.launches[li].launch.launch.grid)
-                        || !self.launch_allowed_on_core(li, core_idx)
+                        || !launch_allowed_on_core(self.cfg, self.mode, n, li, core_idx)
                     {
                         continue;
                     }
@@ -680,83 +817,19 @@ impl<'c, 'v, 'g, 't> RunState<'c, 'v, 'g, 't> {
     /// Places the next workgroup of launch `li` on core `core_idx` if it
     /// fits. Returns whether dispatch happened.
     fn dispatch_wg(&mut self, core_idx: usize, li: usize) -> bool {
-        let needed_warps = self.launches[li].warps_per_wg;
-        let (num_regs, shared_bytes) = {
-            let k = &self.launches[li].launch.kernel;
-            (k.num_regs(), k.shared_bytes())
-        };
-        let regs_needed = needed_warps * usize::from(num_regs) * self.cfg.warp_width;
-        {
-            let core = &self.cores[core_idx];
-            debug_assert_eq!(core.regs_used, core.regs_in_use(&self.launches));
-            debug_assert_eq!(core.shared_used, core.shared_in_use());
-            if core.resident_warps() + needed_warps > self.cfg.max_warps_per_core()
-                || core.regs_used + regs_needed > self.cfg.regs_per_core
-                || core.shared_used + shared_bytes > self.cfg.shared_per_core
-            {
-                return false;
-            }
+        if !self.cores[core_idx].fits(self.cfg, &self.launches, li) {
+            return false;
         }
         let lstate = &mut self.launches[li];
         let wg = lstate.next_wg;
         lstate.next_wg += 1;
-        self.emit(core_idx, li, wg, 0, None, TraceKind::Dispatch { wg });
-        let lstate = &mut self.launches[li];
         if lstate.report.start_cycle == 0 && lstate.report.instructions == 0 {
             lstate.report.start_cycle = self.cycle;
         }
-        let block = lstate.launch.launch.block as usize;
-        let core = &mut self.cores[core_idx];
-        core.wgs.push(ResidentWg {
-            launch_idx: li,
-            wg,
-            shared: vec![0u8; shared_bytes as usize],
-        });
-        core.regs_used += regs_needed;
-        core.shared_used += shared_bytes;
-        // The new warps are ready now; wake the core if it was parked on a
-        // later `next_ready_at`.
-        core.next_ready_at = core.next_ready_at.min(self.cycle);
-        for w in 0..needed_warps {
-            let lanes = (block - w * self.cfg.warp_width).min(self.cfg.warp_width);
-            let mut warp = Warp::new(
-                li,
-                wg,
-                w,
-                self.cfg.warp_width,
-                lanes,
-                num_regs,
-                self.age_seq,
-            );
-            warp.ready_at = self.cycle;
-            self.age_seq += 1;
-            core.warps.push(warp);
-        }
+        self.emit(core_idx, li, wg, 0, None, TraceKind::Dispatch { wg });
+        let ls = (li, &self.launches[li]);
+        self.cores[core_idx].place_wg(self.cfg, ls, wg, self.cycle, &mut self.age_seq);
         true
-    }
-
-    fn pick_warp(&self, core_idx: usize) -> Option<usize> {
-        // No aborted-launch check anywhere here: `abort_launch` removes the
-        // launch's warps from every core immediately, so none survive to be
-        // picked.
-        let core = &self.cores[core_idx];
-        let ready = |w: &Warp| !w.done && !w.at_barrier && !w.blocked && w.ready_at <= self.cycle;
-        // Greedy: stick with the last-issued warp while it stays ready.
-        if let Some(i) = core.last_issued {
-            if let Some(w) = core.warps.get(i) {
-                debug_assert!(!self.launches[w.launch_idx].aborted);
-                if ready(w) {
-                    return Some(i);
-                }
-            }
-        }
-        // Then oldest.
-        core.warps
-            .iter()
-            .enumerate()
-            .filter(|(_, w)| ready(w))
-            .min_by_key(|(_, w)| w.age)
-            .map(|(i, _)| i)
     }
 
     fn run(&mut self) -> Result<(), RunError> {
@@ -784,7 +857,9 @@ impl<'c, 'v, 'g, 't> RunState<'c, 'v, 'g, 't> {
                     continue;
                 }
                 for _ in 0..self.cfg.issue_width {
-                    match self.pick_warp(core_idx) {
+                    // No aborted-launch check: `abort_launch` strips the
+                    // launch's warps from every core immediately.
+                    match self.cores[core_idx].pick_warp(self.cycle) {
                         Some(wi) => {
                             self.cores[core_idx].last_issued = Some(wi);
                             self.exec_warp(core_idx, wi)?;
@@ -798,13 +873,7 @@ impl<'c, 'v, 'g, 't> RunState<'c, 'v, 'g, 't> {
                                 t.reg.add(t.no_issue_slots, 1);
                             }
                             let core = &mut self.cores[core_idx];
-                            core.next_ready_at = core
-                                .warps
-                                .iter()
-                                .filter(|w| !w.done && !w.at_barrier && !w.blocked)
-                                .map(|w| w.ready_at)
-                                .min()
-                                .unwrap_or(u64::MAX);
+                            core.next_ready_at = core.next_ready();
                             break;
                         }
                     }
@@ -868,14 +937,8 @@ impl<'c, 'v, 'g, 't> RunState<'c, 'v, 'g, 't> {
         // (no per-issue `Arc` clone) while the warp mutates.
         let outcome = {
             let lstate = &self.launches[li];
-            let ctx = ExecCtx {
-                args: &lstate.launch.args,
-                local_bases: &lstate.launch.local_bases,
-                block_dim: u64::from(lstate.launch.launch.block),
-                grid_dim: u64::from(lstate.launch.launch.grid),
-            };
             let warp = &mut self.cores[core_idx].warps[warp_idx];
-            warp.exec_simple(&lstate.launch.kernel, &lstate.recon, &ctx)
+            warp.exec_simple(&lstate.launch.kernel, &lstate.recon, &lstate.ctx())
         };
         match outcome {
             SimpleOutcome::Done => {
@@ -926,28 +989,8 @@ impl<'c, 'v, 'g, 't> RunState<'c, 'v, 'g, 't> {
         // a barrier above divergent exits would deadlock; well-formed
         // kernels place barriers in uniform control flow, so the remaining
         // warps simply reconverge among themselves.
-        self.release_barrier_if_complete(core_idx, li, wg);
-        let wg_done = self.cores[core_idx]
-            .warps
-            .iter()
-            .filter(|w| w.launch_idx == li && w.wg == wg)
-            .all(|w| w.done);
-        if wg_done {
-            let freed_regs = self.launches[li].warps_per_wg
-                * usize::from(self.launches[li].launch.kernel.num_regs())
-                * self.cfg.warp_width;
-            let core = &mut self.cores[core_idx];
-            let freed_shared: u64 = core
-                .wgs
-                .iter()
-                .filter(|g| g.launch_idx == li && g.wg == wg)
-                .map(|g| g.shared.len() as u64)
-                .sum();
-            core.warps.retain(|w| !(w.launch_idx == li && w.wg == wg));
-            core.wgs.retain(|g| !(g.launch_idx == li && g.wg == wg));
-            core.last_issued = None;
-            core.regs_used = core.regs_used.saturating_sub(freed_regs);
-            core.shared_used = core.shared_used.saturating_sub(freed_shared);
+        self.cores[core_idx].release_barrier(li, wg, self.cycle);
+        if self.cores[core_idx].retire_wg_if_done(li, wg, self.launches[li].regs_per_wg(self.cfg)) {
             let cycle = self.cycle;
             let lstate = &mut self.launches[li];
             lstate.wgs_retired += 1;
@@ -965,43 +1008,10 @@ impl<'c, 'v, 'g, 't> RunState<'c, 'v, 'g, 't> {
     }
 
     fn exec_barrier(&mut self, core_idx: usize, warp_idx: usize) {
-        let (li, wg) = {
-            let w = &mut self.cores[core_idx].warps[warp_idx];
-            w.at_barrier = true;
-            w.advance_pc();
-            (w.launch_idx, w.wg)
-        };
+        let (li, wg, win) = self.cores[core_idx].arrive_at_barrier(warp_idx, self.cycle);
         self.profile.barrier_issues += 1;
         self.launches[li].report.instructions += 1;
-        {
-            let w = &self.cores[core_idx].warps[warp_idx];
-            let (wgid, win) = (w.wg, w.warp_in_wg);
-            self.emit(core_idx, li, wgid, win, None, TraceKind::Barrier);
-        }
-        self.release_barrier_if_complete(core_idx, li, wg);
-    }
-
-    fn release_barrier_if_complete(&mut self, core_idx: usize, li: usize, wg: u64) {
-        let core = &mut self.cores[core_idx];
-        let all_arrived = core
-            .warps
-            .iter()
-            .filter(|w| w.launch_idx == li && w.wg == wg && !w.done)
-            .all(|w| w.at_barrier);
-        let any_waiting = core
-            .warps
-            .iter()
-            .any(|w| w.launch_idx == li && w.wg == wg && w.at_barrier);
-        if all_arrived && any_waiting {
-            for w in core
-                .warps
-                .iter_mut()
-                .filter(|w| w.launch_idx == li && w.wg == wg && w.at_barrier)
-            {
-                w.at_barrier = false;
-                w.ready_at = self.cycle + 1;
-            }
-        }
+        self.emit(core_idx, li, wg, win, None, TraceKind::Barrier);
     }
 
     fn exec_malloc(
@@ -1012,79 +1022,31 @@ impl<'c, 'v, 'g, 't> RunState<'c, 'v, 'g, 't> {
         size: gpushield_isa::Operand,
     ) -> Result<(), RunError> {
         let li = self.cores[core_idx].warps[warp_idx].launch_idx;
-        let heap = match self.launches[li].launch.heap {
-            Some(h) => h,
-            None => {
-                return Err(RunError::NoHeap {
-                    kernel: self.launches[li].launch.kernel.name().to_string(),
-                })
-            }
+        let lstate = &mut self.launches[li];
+        let Some(heap) = lstate.launch.heap else {
+            return Err(RunError::NoHeap {
+                kernel: lstate.launch.kernel.name().to_string(),
+            });
         };
-        let mut scratch = std::mem::take(&mut self.cores[core_idx].scratch);
-        {
-            let lstate = &self.launches[li];
-            let ctx = ExecCtx {
-                args: &lstate.launch.args,
-                local_bases: &lstate.launch.local_bases,
-                block_dim: u64::from(lstate.launch.launch.block),
-                grid_dim: u64::from(lstate.launch.launch.grid),
-            };
-            let warp = &self.cores[core_idx].warps[warp_idx];
-            scratch.lane_sizes.clear();
-            scratch.lane_sizes.extend(
-                (0..warp.width)
-                    .map(|lane| warp.lane_active(lane).then(|| warp.eval(size, lane, &ctx))),
-            );
-        }
-        let entry = self.heaps.entry(heap.tagged_base.va()).or_default();
-        let mut done_at = self.cycle;
-        let mut exhausted = false;
-        scratch.results.clear();
-        scratch.results.resize(scratch.lane_sizes.len(), None);
-        for (lane, sz) in scratch.lane_sizes.iter().enumerate() {
-            let Some(sz) = sz else { continue };
-            // The device allocator is a serialized global resource: each
-            // lane's request takes its turn (§5.2.1 footnote 2).
-            let start = entry.lock_until.max(self.cycle);
-            entry.lock_until = start + self.cfg.heap_alloc_cycles;
-            done_at = done_at.max(entry.lock_until);
-            if dst.is_some() {
-                let aligned = sz.div_ceil(16).max(1) * 16;
-                if entry.cursor + aligned <= heap.size {
-                    let ptr = heap.tagged_base.raw() + entry.cursor;
-                    entry.cursor += aligned;
-                    scratch.results[lane] = Some(ptr);
-                } else if self.cfg.malloc_blocks_on_exhaustion {
-                    // The allocator parks the whole warp until memory is
-                    // freed; with nothing freeing, the deadlock detector
-                    // reports HeapDeadlock instead of spinning forever.
-                    exhausted = true;
-                    break;
-                } else {
-                    scratch.results[lane] = Some(0); // CUDA malloc returns NULL
-                }
-            }
-        }
-        if exhausted {
-            self.cores[core_idx].warps[warp_idx].blocked = true;
-            self.cores[core_idx].scratch = scratch;
-            self.profile.malloc_issues += 1;
-            self.launches[li].report.instructions += 1;
-            return Ok(());
-        }
-        let warp = &mut self.cores[core_idx].warps[warp_idx];
-        if let Some(dst) = dst {
-            for (lane, r) in scratch.results.iter().enumerate() {
-                if let Some(v) = r {
-                    warp.set_reg(dst, lane, *v);
-                }
-            }
-        }
-        warp.ready_at = done_at;
-        warp.advance_pc();
+        lstate.report.instructions += 1;
         self.profile.malloc_issues += 1;
-        self.launches[li].report.instructions += 1;
-        self.cores[core_idx].scratch = scratch;
+        let core = &mut self.cores[core_idx];
+        let entry = self.heaps.entry(heap.tagged_base.va()).or_default();
+        let warp = &mut core.warps[warp_idx];
+        let ctx = self.launches[li].ctx();
+        match core
+            .scratch
+            .heap(self.cfg, warp, &ctx, heap, entry, self.cycle, dst, size)
+        {
+            Some(done_at) => {
+                warp.ready_at = done_at;
+                warp.advance_pc();
+            }
+            // The allocator parks the whole warp until memory is freed;
+            // with nothing freeing, the deadlock detector reports
+            // HeapDeadlock instead of spinning forever.
+            None => warp.blocked = true,
+        }
         Ok(())
     }
 
@@ -1149,97 +1111,33 @@ impl<'c, 'v, 'g, 't> RunState<'c, 'v, 'g, 't> {
         site: (gpushield_isa::BlockId, usize),
         instr: Instr,
     ) {
-        let (is_store, addr, space, width, dst, src, is_atomic) = match instr {
-            Instr::Ld {
-                dst,
-                addr,
-                space,
-                width,
-            } => (false, addr, space, width, Some(dst), None, false),
-            Instr::St {
-                src,
-                addr,
-                space,
-                width,
-            } => (true, addr, space, width, None, Some(src), false),
-            Instr::AtomAdd {
-                dst,
-                addr,
-                space,
-                width,
-                src,
-            } => (true, addr, space, width, Some(dst), Some(src), true),
-            _ => unreachable!("exec_mem only receives Ld/St/AtomAdd"),
-        };
-        let width_b = width.bytes();
-
+        let op = MemOp::decode(instr);
         // All per-lane buffers live in the core's reusable scratch; it is
         // moved out here and must be moved back on every exit path.
         let mut scratch = std::mem::take(&mut self.cores[core_idx].scratch);
-
-        // ---- Phase 1: AGU — per-lane addresses and store values ----------
-        let ptr = {
-            let lstate = &self.launches[li];
-            let ctx = ExecCtx {
-                args: &lstate.launch.args,
-                local_bases: &lstate.launch.local_bases,
-                block_dim: u64::from(lstate.launch.launch.block),
-                grid_dim: u64::from(lstate.launch.launch.grid),
-            };
-            let warp = &self.cores[core_idx].warps[warp_idx];
-            scratch.lane_vas.clear();
-            scratch.lane_vas.resize(warp.width, None);
-            let mut ptr = TaggedPtr::from_raw(0);
-            let mut ptr_set = false;
-            #[allow(clippy::needless_range_loop)] // lane drives eval() too
-            for lane in 0..warp.width {
-                if !warp.lane_active(lane) {
-                    continue;
-                }
-                let (base_raw, off) = match addr {
-                    AddrExpr::Flat { addr } => (warp.eval(addr, lane, &ctx), 0u64),
-                    AddrExpr::BaseOffset { base, offset } => {
-                        (warp.eval(base, lane, &ctx), warp.eval(offset, lane, &ctx))
-                    }
-                    AddrExpr::BindingTable { bti, offset } => {
-                        (ctx.args[usize::from(bti)], warp.eval(offset, lane, &ctx))
-                    }
-                };
-                if !ptr_set {
-                    ptr = TaggedPtr::from_raw(base_raw);
-                    ptr_set = true;
-                }
-                let va = if space == MemSpace::Shared {
-                    // Shared memory is addressed by plain offsets.
-                    base_raw.wrapping_add(off)
-                } else {
-                    TaggedPtr::from_raw(base_raw).va().wrapping_add(off) & VA_MASK
-                };
-                scratch.lane_vas[lane] = Some(va);
-            }
-            scratch.store_vals.clear();
-            if let Some(s) = src {
-                scratch
-                    .store_vals
-                    .extend((0..warp.width).map(|lane| warp.eval(s, lane, &ctx)));
-            }
-            ptr
-        };
-        let has_store_vals = src.is_some();
+        let ptr = scratch.agu(
+            &self.cores[core_idx].warps[warp_idx],
+            &op,
+            &self.launches[li].ctx(),
+        );
 
         // ---- Shared memory: on-chip, no VM, no bounds checking -----------
-        if space == MemSpace::Shared {
-            self.exec_shared_mem(
-                core_idx,
-                warp_idx,
-                li,
-                &scratch.lane_vas,
-                width_b,
-                dst,
-                has_store_vals.then_some(&scratch.store_vals[..]),
-                is_atomic,
-            );
-            self.cores[core_idx].scratch = scratch;
+        if op.space == MemSpace::Shared {
+            self.profile.shared_issues += 1;
+            let core = &mut self.cores[core_idx];
+            scratch.shared(core, warp_idx, self.cycle, self.cfg.timings.l1_hit, &op);
+            core.scratch = scratch;
+            let (wg, win) = (core.warps[warp_idx].wg, core.warps[warp_idx].warp_in_wg);
+            let kind = TraceKind::Mem {
+                space: MemSpace::Shared,
+                is_store: op.is_store,
+                transactions: 1,
+                stall: 0,
+            };
+            self.emit(core_idx, li, wg, win, None, kind);
+            let report = &mut self.launches[li].report;
+            report.instructions += 1;
+            report.mem_instructions += 1;
             return;
         }
 
@@ -1249,45 +1147,29 @@ impl<'c, 'v, 'g, 't> RunState<'c, 'v, 'g, 't> {
         // to the auditor.
         if let Some(obs) = self.launches[li].observed.as_mut() {
             for va in scratch.lane_vas.iter().flatten() {
-                let end = va.saturating_add(width_b);
+                let end = va.saturating_add(op.width);
                 let e = obs.entry(site).or_insert((*va, end));
                 e.0 = e.0.min(*va);
                 e.1 = e.1.max(end);
             }
         }
 
-        // ---- Phase 2: translate + cache/TLB timing probe -----------------
-        let mut translation_fault: Option<MemFault> = None;
-        for va in scratch.lane_vas.iter().flatten() {
-            if let Err(f) = self.vm.translate(*va) {
-                translation_fault.get_or_insert(f);
-            }
-        }
-        coalesce_warp_into(&scratch.lane_vas, width_b, &mut scratch.txs);
+        // ---- Translate + cache/TLB timing --------------------------------
+        let translation_fault = scratch.translate(self.vm, op.width);
         let start = self.cycle.max(self.cores[core_idx].lsu_busy_until);
-        let mut done_at = start + self.cfg.timings.l1_hit;
-        let mut all_l1_hit = true;
-        for tx in &scratch.txs {
-            let Ok(pa) = self.vm.translate_bypass(tx.base) else {
-                continue;
-            };
-            let core = &mut self.cores[core_idx];
-            let t_ready = if core.l1tlb.access(tx.base) {
-                start
-            } else {
-                self.shared.translate(tx.base, start)
-            };
-            let tx_done = if core.l1d.access(pa) {
-                (start + self.cfg.timings.l1_hit).max(t_ready + 1)
-            } else {
-                all_l1_hit = false;
-                self.shared
-                    .access_data(pa, (start + self.cfg.timings.l1_hit).max(t_ready))
-            };
-            done_at = done_at.max(tx_done);
-        }
+        let shared = &mut *self.shared;
+        let (done_at, all_l1_hit) = scratch.timing(
+            &mut self.cores[core_idx],
+            self.vm,
+            start,
+            self.cfg.timings.l1_hit,
+            |miss, at| match miss {
+                Miss::Xlate(va) => shared.translate(va, at),
+                Miss::Data(pa) => shared.access_data(pa, at),
+            },
+        );
 
-        // ---- Phase 3: bounds check (GPUShield BCU or baseline guard) -----
+        // ---- Bounds check (GPUShield BCU or baseline guard) --------------
         let mut ptr = ptr;
         let mut decision = self.launches[li].launch.plan.get(site);
         if self.fault.is_some() {
@@ -1296,122 +1178,63 @@ impl<'c, 'v, 'g, 't> RunState<'c, 'v, 'g, 't> {
         let mut stall = 0u64;
         let mut verdict = GuardVerdict::Allow;
         if let Some(g) = self.guard.as_mut() {
+            let ls = &mut self.launches[li];
             if decision == SiteCheck::Static {
-                self.launches[li].report.checks_skipped += 1;
-                if self.launches[li].launch.plan.certified(site) {
-                    self.launches[li].report.checks_certified += 1;
+                ls.report.checks_skipped += 1;
+                if ls.launch.plan.certified(site) {
+                    ls.report.checks_certified += 1;
                 }
-            } else if let Some(range) = warp_address_range(&scratch.lane_vas, width_b) {
-                let access = MemAccess {
-                    core: core_idx,
-                    kernel_id: self.launches[li].launch.kernel_id,
-                    is_store,
-                    space,
-                    pointer: ptr,
-                    site,
-                    range,
-                    site_check: decision,
-                    transactions: scratch.txs.len(),
-                    active_lanes: scratch.lane_vas.iter().flatten().count(),
-                    l1d_all_hit: all_l1_hit,
-                };
+            } else if let Some(access) = scratch.access(
+                core_idx,
+                ls.launch.kernel_id,
+                &op,
+                ptr,
+                site,
+                decision,
+                all_l1_hit,
+            ) {
                 let chk = g.check(&access, self.vm);
                 stall = chk.stall_cycles;
                 verdict = chk.verdict;
                 self.profile.bcu_checks += 1;
-                let report = &mut self.launches[li].report;
-                report.checks_performed += 1;
-                report.stall_attribution.record(chk.path, chk.stall_cycles);
-                if self.flight.is_some() {
-                    let (wg, win) = {
-                        let w = &self.cores[core_idx].warps[warp_idx];
-                        (w.wg as u32, w.warp_in_wg as u16)
-                    };
-                    let cycle = self.cycle;
-                    if let Some(f) = self.flight.as_mut() {
-                        f.record(
-                            cycle,
-                            FlightEvent::CheckVerdict {
-                                kernel_id: access.kernel_id,
-                                wg,
-                                warp: win,
-                                block: site.0 .0,
-                                idx: site.1 as u32,
-                                path: chk.path.code(),
-                                verdict: chk.verdict.code(),
-                                is_store,
-                                lo: range.0,
-                                hi: range.1,
-                            },
-                        );
-                    }
+                ls.report.checks_performed += 1;
+                ls.report
+                    .stall_attribution
+                    .record(chk.path, chk.stall_cycles);
+                if let Some(f) = self.flight.as_mut() {
+                    let w = &self.cores[core_idx].warps[warp_idx];
+                    f.record(self.cycle, lsu::verdict_event(&access, w, &chk));
                 }
             }
         }
 
-        // ---- Phase 4: outcome -------------------------------------------
-        match verdict {
-            GuardVerdict::Fault => {
-                self.note_flight_abort(core_idx, warp_idx, li, AbortReason::BoundsViolation);
-                self.cores[core_idx].scratch = scratch;
-                self.abort_launch(li, AbortReason::BoundsViolation);
-                return;
-            }
+        // ---- Outcome ------------------------------------------------------
+        let fault = match verdict {
+            GuardVerdict::Fault => Some(AbortReason::BoundsViolation),
             GuardVerdict::Squash => {
                 self.launches[li].report.violations_squashed += 1;
-                if let Some(d) = dst {
-                    // Squashed loads return zero (§5.5.2).
-                    let warp = &mut self.cores[core_idx].warps[warp_idx];
-                    for lane in 0..warp.width {
-                        if warp.lane_active(lane) {
-                            warp.set_reg(d, lane, 0);
-                        }
-                    }
-                }
+                lsu::squash(&mut self.cores[core_idx].warps[warp_idx], &op);
+                None
             }
-            GuardVerdict::Allow => {
-                if let Some(f) = translation_fault {
-                    self.note_flight_abort(core_idx, warp_idx, li, AbortReason::MemFault(f));
-                    self.cores[core_idx].scratch = scratch;
-                    self.abort_launch(li, AbortReason::MemFault(f));
-                    return;
-                }
-                // Functional access.
-                let warp_width = self.cores[core_idx].warps[warp_idx].width;
-                for (lane, lane_va) in scratch.lane_vas.iter().enumerate().take(warp_width) {
-                    let Some(va) = *lane_va else { continue };
-                    if is_atomic {
-                        // Lanes are serialized in lane order (real hardware
-                        // serializes same-address atomics; a fixed order
-                        // keeps the simulation deterministic).
-                        let old = self
-                            .vm
-                            .read_uint(va, width_b)
-                            .expect("translation already verified");
-                        let add = scratch.store_vals[lane];
-                        self.vm
-                            .write_uint(va, width_b, old.wrapping_add(add))
-                            .expect("translation already verified");
-                        let warp = &mut self.cores[core_idx].warps[warp_idx];
-                        warp.set_reg(dst.expect("atomic has dst"), lane, old);
-                    } else if is_store {
-                        let v = scratch.store_vals[lane];
-                        self.vm
-                            .write_uint(va, width_b, v)
-                            .expect("translation already verified");
-                    } else {
-                        let v = self
-                            .vm
-                            .read_uint(va, width_b)
-                            .expect("translation already verified");
-                        let warp = &mut self.cores[core_idx].warps[warp_idx];
-                        warp.set_reg(dst.expect("load has dst"), lane, v);
-                    }
-                }
-            }
+            // A translation fault aborts before any lane takes effect; a
+            // fault in the commit itself (a lane straddling into an
+            // unmapped page) after the lanes before it did.
+            GuardVerdict::Allow => match translation_fault {
+                Some(f) => Some(AbortReason::MemFault(f)),
+                None => scratch
+                    .commit(&mut self.cores[core_idx].warps[warp_idx], &op, self.vm)
+                    .err()
+                    .map(AbortReason::MemFault),
+            },
+        };
+        if let Some(reason) = fault {
+            self.note_flight_abort(core_idx, warp_idx, li, reason);
+            self.cores[core_idx].scratch = scratch;
+            self.abort_launch(li, reason);
+            return;
         }
 
-        // ---- Phase 5: timing commit --------------------------------------
+        // ---- Timing commit ------------------------------------------------
         {
             let w = &self.cores[core_idx].warps[warp_idx];
             let (wgid, win) = (w.wg, w.warp_in_wg);
@@ -1422,15 +1245,15 @@ impl<'c, 'v, 'g, 't> RunState<'c, 'v, 'g, 't> {
                 win,
                 Some(site),
                 TraceKind::Mem {
-                    space,
-                    is_store,
+                    space: op.space,
+                    is_store: op.is_store,
                     transactions: scratch.txs.len().min(255) as u8,
                     stall: stall.min(255) as u8,
                 },
             );
         }
-        let atomic_serial = if is_atomic {
-            scratch.lane_vas.iter().flatten().count() as u64
+        let atomic_serial = if op.is_atomic {
+            scratch.active_lanes()
         } else {
             0
         };
@@ -1452,101 +1275,6 @@ impl<'c, 'v, 'g, 't> RunState<'c, 'v, 'g, 't> {
         report.mem_instructions += 1;
         report.transactions += n_txs;
         report.guard_stall_cycles += stall;
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn exec_shared_mem(
-        &mut self,
-        core_idx: usize,
-        warp_idx: usize,
-        li: usize,
-        lane_vas: &[Option<u64>],
-        width_b: u64,
-        dst: Option<gpushield_isa::VReg>,
-        store_vals: Option<&[u64]>,
-        is_atomic: bool,
-    ) {
-        self.profile.shared_issues += 1;
-        let wg = self.cores[core_idx].warps[warp_idx].wg;
-        let start = self.cycle.max(self.cores[core_idx].lsu_busy_until);
-        let done_at = start + self.cfg.timings.l1_hit;
-        let core = &mut self.cores[core_idx];
-        let wg_idx = core
-            .wgs
-            .iter()
-            .position(|g| g.launch_idx == li && g.wg == wg)
-            .expect("warp's workgroup is resident");
-        // Split borrows: shared data and warp registers.
-        let (wgs, warps) = (&mut core.wgs, &mut core.warps);
-        let shared = &mut wgs[wg_idx].shared;
-        let warp = &mut warps[warp_idx];
-        let n = shared.len() as u64;
-        for (lane, va) in lane_vas.iter().enumerate() {
-            let Some(va) = va else { continue };
-            if n == 0 {
-                // Kernel accessed shared memory without declaring any;
-                // reads yield zero, writes are dropped.
-                if let Some(d) = dst {
-                    warp.set_reg(d, lane, 0);
-                }
-                continue;
-            }
-            // Out-of-bounds shared accesses wrap inside the workgroup's
-            // allocation (on-chip scratch is not protected by GPUShield;
-            // Table 1 lists shared-memory overflow as possible).
-            if is_atomic {
-                let mut old_bytes = [0u8; 8];
-                for i in 0..width_b {
-                    old_bytes[i as usize] = shared[((va + i) % n) as usize];
-                }
-                let old = u64::from_le_bytes(old_bytes);
-                let add = store_vals.expect("atomic has addend")[lane];
-                let new_bytes = old.wrapping_add(add).to_le_bytes();
-                for i in 0..width_b {
-                    shared[((va + i) % n) as usize] = new_bytes[i as usize];
-                }
-                if let Some(d) = dst {
-                    warp.set_reg(d, lane, old);
-                }
-                continue;
-            }
-            let mut bytes = [0u8; 8];
-            for i in 0..width_b {
-                let idx = ((va + i) % n) as usize;
-                if let Some(vals) = store_vals {
-                    shared[idx] = vals[lane].to_le_bytes()[i as usize];
-                } else {
-                    bytes[i as usize] = shared[idx];
-                }
-            }
-            if let Some(d) = dst {
-                warp.set_reg(d, lane, u64::from_le_bytes(bytes));
-            }
-        }
-        core.lsu_busy_until = start + 1;
-        let warp = &mut core.warps[warp_idx];
-        warp.ready_at = done_at;
-        warp.advance_pc();
-        let (wgid, win) = {
-            let w = &self.cores[core_idx].warps[warp_idx];
-            (w.wg, w.warp_in_wg)
-        };
-        self.emit(
-            core_idx,
-            li,
-            wgid,
-            win,
-            None,
-            TraceKind::Mem {
-                space: MemSpace::Shared,
-                is_store: store_vals.is_some(),
-                transactions: 1,
-                stall: 0,
-            },
-        );
-        let report = &mut self.launches[li].report;
-        report.instructions += 1;
-        report.mem_instructions += 1;
     }
 
     /// Records a `KernelAbort` flight event while the guilty warp is still
@@ -1591,15 +1319,7 @@ impl<'c, 'v, 'g, 't> RunState<'c, 'v, 'g, 't> {
             lstate.launch.kernel_id
         };
         for core in &mut self.cores {
-            core.warps.retain(|w| w.launch_idx != li);
-            core.wgs.retain(|g| g.launch_idx != li);
-            core.last_issued = None;
-        }
-        // Aborts are rare: recompute occupancy caches from scratch.
-        for ci in 0..self.cores.len() {
-            let regs = self.cores[ci].regs_in_use(&self.launches);
-            self.cores[ci].regs_used = regs;
-            self.cores[ci].shared_used = self.cores[ci].shared_in_use();
+            core.strip_launch(li, &self.launches);
         }
         if let Some(g) = self.guard.as_mut() {
             g.on_kernel_end(kernel_id);
@@ -1654,7 +1374,7 @@ mod tests {
     use super::*;
     use crate::launch::{KernelLaunch, LaunchConfig};
     use gpushield_isa::{KernelBuilder, MemWidth, Operand};
-    use gpushield_mem::AllocPolicy;
+    use gpushield_mem::{AllocPolicy, MemFault};
     use std::sync::Arc;
 
     fn write_iota_kernel() -> Arc<gpushield_isa::Kernel> {
@@ -1884,6 +1604,63 @@ mod tests {
             .position(|e| matches!(e.kind, crate::trace::TraceKind::Dispatch { .. }))
             .unwrap();
         assert!(first_dispatch < first_mem);
+    }
+
+    #[test]
+    fn dispatch_retire_and_abort_keep_warp_ages_ascending() -> Result<(), Box<dyn Error>> {
+        // Two launches share both cores, so dispatch alternates between
+        // them; workgroups retire in whatever order they finish, new ones
+        // fill the freed slots, and launch 1 aborts mid-run. The
+        // scheduler's first-ready pick relies on every core's warps
+        // staying in dispatch (age) order through all of it.
+        let mut vm = VirtualMemorySpace::new();
+        let mut launches = Vec::new();
+        for _ in 0..2 {
+            let buf = vm.alloc(256 * 4, AllocPolicy::Device512)?;
+            launches.push(
+                KernelLaunch::new(write_iota_kernel(), LaunchConfig::new(16, 16))
+                    .arg(TaggedPtr::unprotected(buf.va).raw()),
+            );
+        }
+        let mut gpu = Gpu::new(GpuConfig::test_tiny());
+        let mut st = RunState::new(
+            &gpu.cfg,
+            &mut vm,
+            &mut gpu.shared,
+            &launches,
+            MultiKernelMode::IntraCore,
+            None,
+        )?;
+        let ascending = |st: &RunState| st.cores.iter().all(|c| ages_ascend(&c.warps));
+        let (mut retires, mut redispatches) = (0, 0);
+        while !st.launches.iter().all(|l| l.finished()) {
+            let resident: usize = st.cores.iter().map(|c| c.warps.len()).sum();
+            st.try_dispatch();
+            let now: usize = st.cores.iter().map(|c| c.warps.len()).sum();
+            redispatches += usize::from(st.cycle > 0 && now > resident);
+            assert!(ascending(&st), "dispatch broke age order");
+            for ci in 0..st.cores.len() {
+                if let Some(wi) = st.cores[ci].pick_warp(st.cycle) {
+                    let before = st.cores[ci].warps.len();
+                    st.cores[ci].last_issued = Some(wi);
+                    st.exec_warp(ci, wi)?;
+                    retires += usize::from(st.cores[ci].warps.len() < before);
+                    assert!(ascending(&st), "retire broke age order");
+                }
+            }
+            if st.cycle == 40 {
+                assert!(st
+                    .cores
+                    .iter()
+                    .any(|c| c.warps.iter().any(|w| w.launch_idx == 1)));
+                st.abort_launch(1, AbortReason::BoundsViolation);
+                assert!(ascending(&st), "abort broke age order");
+            }
+            st.cycle += 1;
+        }
+        assert!(retires > 0 && redispatches > 0);
+        assert!(st.launches[0].report.abort.is_none() && st.launches[1].aborted);
+        Ok(())
     }
 
     #[test]

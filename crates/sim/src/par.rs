@@ -36,20 +36,18 @@
 //! *different* cores to the *same* location inside one quantum are data
 //! races in the programming model and take no defined interleaving.
 
+use super::lsu::{self, MemOp, Miss};
 use super::{
-    build_launch_states, Core, GpuConfig, HeapRun, LaunchState, MultiKernelMode, ResidentWg,
-    RunError, TeleCtx, VA_MASK,
+    build_launch_states, launch_allowed_on_core, Core, GpuConfig, HeapRun, LaunchState,
+    MultiKernelMode, RunError, TeleCtx,
 };
 use crate::guard::{CoreGuard, GuardCheck, GuardVerdict, MemAccess, MemGuard};
 use crate::launch::{KernelLaunch, SiteCheck};
 use crate::stats::{AbortReason, LaunchReport, RunReport, SimProfile, StallAttribution};
 use crate::trace::{Trace, TraceEvent, TraceKind};
-use crate::warp::{ExecCtx, SimpleOutcome, Warp};
-use gpushield_isa::{AddrExpr, BlockId, Instr, MemSpace, Operand, TaggedPtr, VReg};
-use gpushield_mem::coalesce::warp_address_range;
-use gpushield_mem::{
-    coalesce_warp_into, DramView, MemFault, SharedMemorySystem, VirtualMemorySpace,
-};
+use crate::warp::SimpleOutcome;
+use gpushield_isa::{BlockId, Instr, MemSpace, Operand, VReg};
+use gpushield_mem::{DramView, SharedMemorySystem, VirtualMemorySpace};
 use gpushield_runtime::with_crew;
 use gpushield_telemetry::flight::{FlightEvent, FlightRecorder};
 use gpushield_telemetry::{MetricId, Registry};
@@ -284,34 +282,6 @@ fn push_trace(
     }
 }
 
-/// Greedy-then-oldest warp pick at cycle `t` — the sequential scheduler's
-/// policy verbatim, evaluated against core-local state only.
-fn pick_warp_at(core: &Core, t: u64) -> Option<usize> {
-    let ready = |w: &Warp| !w.done && !w.at_barrier && !w.blocked && w.ready_at <= t;
-    if let Some(i) = core.last_issued {
-        if let Some(w) = core.warps.get(i) {
-            if ready(w) {
-                return Some(i);
-            }
-        }
-    }
-    core.warps
-        .iter()
-        .enumerate()
-        .filter(|(_, w)| ready(w))
-        .min_by_key(|(_, w)| w.age)
-        .map(|(i, _)| i)
-}
-
-fn recompute_next_ready(core: &Core) -> u64 {
-    core.warps
-        .iter()
-        .filter(|w| !w.done && !w.at_barrier && !w.blocked)
-        .map(|w| w.ready_at)
-        .min()
-        .unwrap_or(u64::MAX)
-}
-
 /// Timing prediction for a translation that missed the core's L1 TLB:
 /// the sequential `SharedMemorySystem::translate` arithmetic, with the
 /// snapshot probe standing in for the L2 TLB access and the core's
@@ -370,7 +340,7 @@ fn advance_core(
         }
         let mut issued = false;
         for _ in 0..cfg.issue_width {
-            match pick_warp_at(core, t) {
+            match core.pick_warp(t) {
                 Some(wi) => {
                     core.last_issued = Some(wi);
                     exec_warp_phase(
@@ -393,7 +363,7 @@ fn advance_core(
                 }
                 None => {
                     out.no_issue += 1;
-                    core.next_ready_at = recompute_next_ready(core);
+                    core.next_ready_at = core.next_ready();
                     break;
                 }
             }
@@ -402,15 +372,6 @@ fn advance_core(
             out.busy += 1;
         }
         t += 1;
-    }
-}
-
-fn exec_ctx(ls: &LaunchState) -> ExecCtx<'_> {
-    ExecCtx {
-        args: &ls.launch.args,
-        local_bases: &ls.launch.local_bases,
-        block_dim: u64::from(ls.launch.launch.block),
-        grid_dim: u64::from(ls.launch.launch.grid),
     }
 }
 
@@ -477,8 +438,7 @@ fn exec_warp_phase(
     let li = core.warps[wi].launch_idx;
     let outcome = {
         let ls = &launches[li];
-        let ctx = exec_ctx(ls);
-        core.warps[wi].exec_simple(&ls.launch.kernel, &ls.recon, &ctx)
+        core.warps[wi].exec_simple(&ls.launch.kernel, &ls.recon, &ls.ctx())
     };
     match outcome {
         SimpleOutcome::Done => {
@@ -496,7 +456,11 @@ fn exec_warp_phase(
             let instr = launches[li].launch.kernel.block(pc.0).instrs()[pc.1];
             match instr {
                 Instr::Bar => {
-                    exec_barrier_phase(t, core, out, core_idx, want_trace, wi, li);
+                    let (li, wg, win) = core.arrive_at_barrier(wi, t);
+                    out.profile.barrier_issues += 1;
+                    out.accs[li].instructions += 1;
+                    let kind = TraceKind::Barrier;
+                    push_trace(out, want_trace, t, core_idx, li, wg, win, None, kind);
                 }
                 Instr::Malloc { .. } | Instr::Free { .. } => park_warp(out, t, core, wi),
                 Instr::Ld { .. } | Instr::St { .. } | Instr::AtomAdd { .. } => {
@@ -551,82 +515,9 @@ fn retire_warp_phase(
         None,
         TraceKind::Retire,
     );
-    release_barrier_at(core, li, wg, t);
-    let wg_done = core
-        .warps
-        .iter()
-        .filter(|w| w.launch_idx == li && w.wg == wg)
-        .all(|w| w.done);
-    if wg_done {
-        let freed_regs = launches[li].warps_per_wg
-            * usize::from(launches[li].launch.kernel.num_regs())
-            * cfg.warp_width;
-        let freed_shared: u64 = core
-            .wgs
-            .iter()
-            .filter(|g| g.launch_idx == li && g.wg == wg)
-            .map(|g| g.shared.len() as u64)
-            .sum();
-        core.warps.retain(|w| !(w.launch_idx == li && w.wg == wg));
-        core.wgs.retain(|g| !(g.launch_idx == li && g.wg == wg));
-        core.last_issued = None;
-        core.regs_used = core.regs_used.saturating_sub(freed_regs);
-        core.shared_used = core.shared_used.saturating_sub(freed_shared);
+    core.release_barrier(li, wg, t);
+    if core.retire_wg_if_done(li, wg, launches[li].regs_per_wg(cfg)) {
         push_ev(out, t, Ev::Retired { li: li as u32 });
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn exec_barrier_phase(
-    t: u64,
-    core: &mut Core,
-    out: &mut Outbox,
-    core_idx: usize,
-    want_trace: bool,
-    wi: usize,
-    li: usize,
-) {
-    let (wg, win) = {
-        let w = &mut core.warps[wi];
-        w.at_barrier = true;
-        w.advance_pc();
-        (w.wg, w.warp_in_wg)
-    };
-    out.profile.barrier_issues += 1;
-    out.accs[li].instructions += 1;
-    push_trace(
-        out,
-        want_trace,
-        t,
-        core_idx,
-        li,
-        wg,
-        win,
-        None,
-        TraceKind::Barrier,
-    );
-    release_barrier_at(core, li, wg, t);
-}
-
-fn release_barrier_at(core: &mut Core, li: usize, wg: u64, t: u64) {
-    let all_arrived = core
-        .warps
-        .iter()
-        .filter(|w| w.launch_idx == li && w.wg == wg && !w.done)
-        .all(|w| w.at_barrier);
-    let any_waiting = core
-        .warps
-        .iter()
-        .any(|w| w.launch_idx == li && w.wg == wg && w.at_barrier);
-    if all_arrived && any_waiting {
-        for w in core
-            .warps
-            .iter_mut()
-            .filter(|w| w.launch_idx == li && w.wg == wg && w.at_barrier)
-        {
-            w.at_barrier = false;
-            w.ready_at = t + 1;
-        }
     }
 }
 
@@ -653,260 +544,133 @@ fn exec_mem_phase(
     site: (BlockId, usize),
     instr: Instr,
 ) {
-    let (is_store, addr, space, width, dst, src, is_atomic) = match instr {
-        Instr::Ld {
-            dst,
-            addr,
-            space,
-            width,
-        } => (false, addr, space, width, Some(dst), None, false),
-        Instr::St {
-            src,
-            addr,
-            space,
-            width,
-        } => (true, addr, space, width, None, Some(src), false),
-        Instr::AtomAdd {
-            dst,
-            addr,
-            space,
-            width,
-            src,
-        } => (true, addr, space, width, Some(dst), Some(src), true),
-        _ => unreachable!("exec_mem_phase only receives Ld/St/AtomAdd"),
-    };
-    if is_atomic && space != MemSpace::Shared {
+    let op = MemOp::decode(instr);
+    if op.is_atomic && op.space != MemSpace::Shared {
         // Global read-modify-writes are serialized machine-wide; the
         // drain executes them in canonical order.
         park_warp(out, t, core, wi);
         return;
     }
-    let width_b = width.bytes();
     let mut scratch = std::mem::take(&mut core.scratch);
+    let ptr = scratch.agu(&core.warps[wi], &op, &launches[li].ctx());
 
-    // ---- AGU: per-lane addresses and store values (sequential logic) ----
-    let ptr = {
-        let ctx = exec_ctx(&launches[li]);
-        let warp = &core.warps[wi];
-        scratch.lane_vas.clear();
-        scratch.lane_vas.resize(warp.width, None);
-        let mut ptr = TaggedPtr::from_raw(0);
-        let mut ptr_set = false;
-        #[allow(clippy::needless_range_loop)] // lane drives eval() too
-        for lane in 0..warp.width {
-            if !warp.lane_active(lane) {
-                continue;
-            }
-            let (base_raw, off) = match addr {
-                AddrExpr::Flat { addr } => (warp.eval(addr, lane, &ctx), 0u64),
-                AddrExpr::BaseOffset { base, offset } => {
-                    (warp.eval(base, lane, &ctx), warp.eval(offset, lane, &ctx))
-                }
-                AddrExpr::BindingTable { bti, offset } => {
-                    (ctx.args[usize::from(bti)], warp.eval(offset, lane, &ctx))
-                }
-            };
-            if !ptr_set {
-                ptr = TaggedPtr::from_raw(base_raw);
-                ptr_set = true;
-            }
-            let va = if space == MemSpace::Shared {
-                base_raw.wrapping_add(off)
-            } else {
-                TaggedPtr::from_raw(base_raw).va().wrapping_add(off) & VA_MASK
-            };
-            scratch.lane_vas[lane] = Some(va);
-        }
-        scratch.store_vals.clear();
-        if let Some(s) = src {
-            scratch
-                .store_vals
-                .extend((0..warp.width).map(|lane| warp.eval(s, lane, &ctx)));
-        }
-        ptr
-    };
-    let has_store_vals = src.is_some();
-
-    if space == MemSpace::Shared {
-        exec_shared_phase(
-            cfg,
-            t,
-            core,
-            out,
-            core_idx,
-            want_trace,
-            wi,
-            li,
-            &scratch.lane_vas,
-            width_b,
-            dst,
-            has_store_vals.then_some(&scratch.store_vals[..]),
-            is_atomic,
-        );
+    if op.space == MemSpace::Shared {
+        out.profile.shared_issues += 1;
+        scratch.shared(core, wi, t, cfg.timings.l1_hit, &op);
         core.scratch = scratch;
-        return;
-    }
-
-    // ---- Translate + timing against the quantum-start snapshot ----------
-    let mut translation_fault: Option<MemFault> = None;
-    for va in scratch.lane_vas.iter().flatten() {
-        if let Err(f) = vm.translate(*va) {
-            translation_fault.get_or_insert(f);
-        }
-    }
-    coalesce_warp_into(&scratch.lane_vas, width_b, &mut scratch.txs);
-    let start = t.max(core.lsu_busy_until);
-    let mut done_at = start + cfg.timings.l1_hit;
-    let mut all_l1_hit = true;
-    for tx in &scratch.txs {
-        let Ok(pa) = vm.translate_bypass(tx.base) else {
-            continue;
+        let kind = TraceKind::Mem {
+            space: MemSpace::Shared,
+            is_store: op.is_store,
+            transactions: 1,
+            stall: 0,
         };
-        let t_ready = if core.l1tlb.access(tx.base) {
-            start
-        } else {
-            push_ev(out, start, Ev::Xlate(tx.base));
-            predict_translate(shared, dram_view, tx.base, start)
-        };
-        let tx_done = if core.l1d.access(pa) {
-            (start + cfg.timings.l1_hit).max(t_ready + 1)
-        } else {
-            all_l1_hit = false;
-            let at = (start + cfg.timings.l1_hit).max(t_ready);
-            push_ev(out, at, Ev::Data(pa));
-            predict_data(shared, dram_view, pa, at)
-        };
-        done_at = done_at.max(tx_done);
-    }
-
-    // ---- Bounds check via the core's shard (or the whole guard) ---------
-    let decision = launches[li].launch.plan.get(site);
-    let mut stall = 0u64;
-    let mut verdict = GuardVerdict::Allow;
-    if check.some() {
-        if decision == SiteCheck::Static {
-            out.accs[li].checks_skipped += 1;
-            if launches[li].launch.plan.certified(site) {
-                out.accs[li].checks_certified += 1;
-            }
-        } else if let Some(range) = warp_address_range(&scratch.lane_vas, width_b) {
-            let access = MemAccess {
-                core: core_idx,
-                kernel_id: launches[li].launch.kernel_id,
-                is_store,
-                space,
-                pointer: ptr,
-                site,
-                range,
-                site_check: decision,
-                transactions: scratch.txs.len(),
-                active_lanes: scratch.lane_vas.iter().flatten().count(),
-                l1d_all_hit: all_l1_hit,
-            };
-            let chk = check.check(&access, vm);
-            stall = chk.stall_cycles;
-            verdict = chk.verdict;
-            out.profile.bcu_checks += 1;
-            out.accs[li].checks_performed += 1;
-            out.accs[li]
-                .stall_attribution
-                .record(chk.path, chk.stall_cycles);
-            if want_flight {
-                let w = &core.warps[wi];
-                push_ev(
-                    out,
-                    t,
-                    Ev::Flight(FlightEvent::CheckVerdict {
-                        kernel_id: launches[li].launch.kernel_id,
-                        wg: w.wg as u32,
-                        warp: w.warp_in_wg as u16,
-                        block: site.0 .0,
-                        idx: site.1 as u32,
-                        path: chk.path.code(),
-                        verdict: chk.verdict.code(),
-                        is_store,
-                        lo: range.0,
-                        hi: range.1,
-                    }),
-                );
-            }
-        }
-    }
-
-    // ---- Outcome --------------------------------------------------------
-    match verdict {
-        GuardVerdict::Fault => {
-            core.scratch = scratch;
-            freeze_abort(out, t, core, wi, li, AbortReason::BoundsViolation);
-            return;
-        }
-        GuardVerdict::Squash => {
-            out.accs[li].violations_squashed += 1;
-            if let Some(d) = dst {
-                let warp = &mut core.warps[wi];
-                for lane in 0..warp.width {
-                    if warp.lane_active(lane) {
-                        warp.set_reg(d, lane, 0);
-                    }
-                }
-            }
-        }
-        GuardVerdict::Allow => {
-            if let Some(f) = translation_fault {
-                core.scratch = scratch;
-                freeze_abort(out, t, core, wi, li, AbortReason::MemFault(f));
-                return;
-            }
-            let warp_width = core.warps[wi].width;
-            for (lane, lane_va) in scratch.lane_vas.iter().enumerate().take(warp_width) {
-                let Some(va) = *lane_va else { continue };
-                // The pre-check translated every lane VA, so a fault here
-                // means the mapping changed under us (e.g. host-injected
-                // metadata corruption) — degrade into the same typed abort
-                // a translation fault takes, never a panic.
-                if is_store {
-                    let v = scratch.store_vals[lane];
-                    if let Err(f) = vm.write_uint(va, width_b, v) {
-                        core.scratch = scratch;
-                        freeze_abort(out, t, core, wi, li, AbortReason::MemFault(f));
-                        return;
-                    }
-                } else {
-                    let v = match vm.read_uint(va, width_b) {
-                        Ok(v) => v,
-                        Err(f) => {
-                            core.scratch = scratch;
-                            freeze_abort(out, t, core, wi, li, AbortReason::MemFault(f));
-                            return;
-                        }
-                    };
-                    // A load without a destination is dropped by decode, so
-                    // `dst` is always present here; skip defensively rather
-                    // than assert.
-                    let Some(d) = dst else { continue };
-                    let warp = &mut core.warps[wi];
-                    warp.set_reg(d, lane, v);
-                }
-            }
-        }
-    }
-
-    // ---- Timing commit --------------------------------------------------
-    {
         let w = &core.warps[wi];
-        let (wgid, win) = (w.wg, w.warp_in_wg);
         push_trace(
             out,
             want_trace,
             t,
             core_idx,
             li,
-            wgid,
-            win,
+            w.wg,
+            w.warp_in_wg,
+            None,
+            kind,
+        );
+        let acc = &mut out.accs[li];
+        acc.instructions += 1;
+        acc.mem_instructions += 1;
+        return;
+    }
+
+    // ---- Translate + timing against the quantum-start snapshot ----------
+    let translation_fault = scratch.translate(vm, op.width);
+    let start = t.max(core.lsu_busy_until);
+    let (done_at, all_l1_hit) =
+        scratch.timing(core, vm, start, cfg.timings.l1_hit, |miss, at| match miss {
+            Miss::Xlate(va) => {
+                push_ev(out, at, Ev::Xlate(va));
+                predict_translate(shared, dram_view, va, at)
+            }
+            Miss::Data(pa) => {
+                push_ev(out, at, Ev::Data(pa));
+                predict_data(shared, dram_view, pa, at)
+            }
+        });
+
+    // ---- Bounds check via the core's shard (or the whole guard) ---------
+    let ls = &launches[li];
+    let decision = ls.launch.plan.get(site);
+    let mut stall = 0u64;
+    let mut verdict = GuardVerdict::Allow;
+    if check.some() {
+        let acc = &mut out.accs[li];
+        if decision == SiteCheck::Static {
+            acc.checks_skipped += 1;
+            if ls.launch.plan.certified(site) {
+                acc.checks_certified += 1;
+            }
+        } else if let Some(access) = scratch.access(
+            core_idx,
+            ls.launch.kernel_id,
+            &op,
+            ptr,
+            site,
+            decision,
+            all_l1_hit,
+        ) {
+            let chk = check.check(&access, vm);
+            stall = chk.stall_cycles;
+            verdict = chk.verdict;
+            acc.checks_performed += 1;
+            acc.stall_attribution.record(chk.path, chk.stall_cycles);
+            out.profile.bcu_checks += 1;
+            if want_flight {
+                let ev = lsu::verdict_event(&access, &core.warps[wi], &chk);
+                push_ev(out, t, Ev::Flight(ev));
+            }
+        }
+    }
+
+    // ---- Outcome --------------------------------------------------------
+    let fault = match verdict {
+        GuardVerdict::Fault => Some(AbortReason::BoundsViolation),
+        GuardVerdict::Squash => {
+            out.accs[li].violations_squashed += 1;
+            lsu::squash(&mut core.warps[wi], &op);
+            None
+        }
+        // The pre-check translated every lane's first byte, so a commit
+        // fault is a lane straddling into an unmapped page — the same
+        // typed abort, never a panic.
+        GuardVerdict::Allow => match translation_fault {
+            Some(f) => Some(AbortReason::MemFault(f)),
+            None => scratch
+                .commit(&mut core.warps[wi], &op, vm)
+                .err()
+                .map(AbortReason::MemFault),
+        },
+    };
+    if let Some(reason) = fault {
+        core.scratch = scratch;
+        freeze_abort(out, t, core, wi, li, reason);
+        return;
+    }
+
+    // ---- Timing commit --------------------------------------------------
+    {
+        let w = &core.warps[wi];
+        push_trace(
+            out,
+            want_trace,
+            t,
+            core_idx,
+            li,
+            w.wg,
+            w.warp_in_wg,
             Some(site),
             TraceKind::Mem {
-                space,
-                is_store,
+                space: op.space,
+                is_store: op.is_store,
                 transactions: scratch.txs.len().min(255) as u8,
                 stall: stall.min(255) as u8,
             },
@@ -927,102 +691,6 @@ fn exec_mem_phase(
     acc.mem_instructions += 1;
     acc.transactions += n_txs;
     acc.guard_stall_cycles += stall;
-}
-
-/// Shared-memory access: on-chip, core-local, no VM, no bounds checking —
-/// the sequential `exec_shared_mem` verbatim against core-local state.
-#[allow(clippy::too_many_arguments)]
-fn exec_shared_phase(
-    cfg: &GpuConfig,
-    t: u64,
-    core: &mut Core,
-    out: &mut Outbox,
-    core_idx: usize,
-    want_trace: bool,
-    wi: usize,
-    li: usize,
-    lane_vas: &[Option<u64>],
-    width_b: u64,
-    dst: Option<VReg>,
-    store_vals: Option<&[u64]>,
-    is_atomic: bool,
-) {
-    out.profile.shared_issues += 1;
-    let wg = core.warps[wi].wg;
-    let start = t.max(core.lsu_busy_until);
-    let done_at = start + cfg.timings.l1_hit;
-    let wg_idx = core
-        .wgs
-        .iter()
-        .position(|g| g.launch_idx == li && g.wg == wg)
-        .expect("warp's workgroup is resident");
-    let (wgs, warps) = (&mut core.wgs, &mut core.warps);
-    let sh = &mut wgs[wg_idx].shared;
-    let warp = &mut warps[wi];
-    let n = sh.len() as u64;
-    for (lane, va) in lane_vas.iter().enumerate() {
-        let Some(va) = va else { continue };
-        if n == 0 {
-            if let Some(d) = dst {
-                warp.set_reg(d, lane, 0);
-            }
-            continue;
-        }
-        if is_atomic {
-            // Decode always materialises an addend vector for atomics; a
-            // missing one is treated as adding zero rather than a panic.
-            let mut old_bytes = [0u8; 8];
-            for i in 0..width_b {
-                old_bytes[i as usize] = sh[((va + i) % n) as usize];
-            }
-            let old = u64::from_le_bytes(old_bytes);
-            let add = store_vals.map_or(0, |vals| vals[lane]);
-            let new_bytes = old.wrapping_add(add).to_le_bytes();
-            for i in 0..width_b {
-                sh[((va + i) % n) as usize] = new_bytes[i as usize];
-            }
-            if let Some(d) = dst {
-                warp.set_reg(d, lane, old);
-            }
-            continue;
-        }
-        let mut bytes = [0u8; 8];
-        for i in 0..width_b {
-            let idx = ((va + i) % n) as usize;
-            if let Some(vals) = store_vals {
-                sh[idx] = vals[lane].to_le_bytes()[i as usize];
-            } else {
-                bytes[i as usize] = sh[idx];
-            }
-        }
-        if let Some(d) = dst {
-            warp.set_reg(d, lane, u64::from_le_bytes(bytes));
-        }
-    }
-    core.lsu_busy_until = start + 1;
-    let warp = &mut core.warps[wi];
-    warp.ready_at = done_at;
-    warp.advance_pc();
-    let (wgid, win) = (warp.wg, warp.warp_in_wg);
-    push_trace(
-        out,
-        want_trace,
-        t,
-        core_idx,
-        li,
-        wgid,
-        win,
-        None,
-        TraceKind::Mem {
-            space: MemSpace::Shared,
-            is_store: store_vals.is_some(),
-            transactions: 1,
-            stall: 0,
-        },
-    );
-    let acc = &mut out.accs[li];
-    acc.instructions += 1;
-    acc.mem_instructions += 1;
 }
 
 /// Runs `launches` to completion on the cycle-quantum engine. The
@@ -1300,22 +968,6 @@ pub(super) fn run_engine(
     })
 }
 
-fn launch_allowed_on_core(
-    cfg: &GpuConfig,
-    mode: MultiKernelMode,
-    n_launches: usize,
-    launch_idx: usize,
-    core_idx: usize,
-) -> bool {
-    match mode {
-        MultiKernelMode::IntraCore => true,
-        MultiKernelMode::InterCore => {
-            let per = cfg.num_cores.div_ceil(n_launches);
-            core_idx / per == launch_idx.min(cfg.num_cores / per)
-        }
-    }
-}
-
 /// Round-robin workgroup dispatch at a quantum boundary — the sequential
 /// dispatcher verbatim, run serially by the driver thread.
 #[allow(clippy::too_many_arguments)]
@@ -1372,20 +1024,8 @@ fn dispatch_wg(
     core_idx: usize,
     li: usize,
 ) -> bool {
-    let needed_warps = lw[li].warps_per_wg;
-    let (num_regs, shared_bytes) = {
-        let k = &lw[li].launch.kernel;
-        (k.num_regs(), k.shared_bytes())
-    };
-    let regs_needed = needed_warps * usize::from(num_regs) * cfg.warp_width;
     let mut slot = lock_ok(slots[core_idx].lock());
-    let core = &mut slot.core;
-    debug_assert_eq!(core.regs_used, core.regs_in_use(lw));
-    debug_assert_eq!(core.shared_used, core.shared_in_use());
-    if core.resident_warps() + needed_warps > cfg.max_warps_per_core()
-        || core.regs_used + regs_needed > cfg.regs_per_core
-        || core.shared_used + shared_bytes > cfg.shared_per_core
-    {
+    if !slot.core.fits(cfg, lw, li) {
         return false;
     }
     let lstate = &mut lw[li];
@@ -1405,22 +1045,7 @@ fn dispatch_wg(
     if lstate.report.start_cycle == 0 && lstate.report.instructions == 0 {
         lstate.report.start_cycle = cycle;
     }
-    let block = lstate.launch.launch.block as usize;
-    core.wgs.push(ResidentWg {
-        launch_idx: li,
-        wg,
-        shared: vec![0u8; shared_bytes as usize],
-    });
-    core.regs_used += regs_needed;
-    core.shared_used += shared_bytes;
-    core.next_ready_at = core.next_ready_at.min(cycle);
-    for w in 0..needed_warps {
-        let lanes = (block - w * cfg.warp_width).min(cfg.warp_width);
-        let mut warp = Warp::new(li, wg, w, cfg.warp_width, lanes, num_regs, *age_seq);
-        warp.ready_at = cycle;
-        *age_seq += 1;
-        core.warps.push(warp);
-    }
+    slot.core.place_wg(cfg, (li, lstate), wg, cycle, age_seq);
     true
 }
 
@@ -1436,20 +1061,9 @@ fn sample_occupancy_par(tele: &mut Option<ParTele<'_>>, cycle: u64, slots: &[Mut
     }
     let stride = tb.reg.stride();
     tb.next_sample = (cycle / stride + 1) * stride;
-    let mut resident = 0u64;
-    let mut ready = 0u64;
-    for slot in slots {
-        let s = lock_ok(slot.lock());
-        for w in &s.core.warps {
-            if w.done {
-                continue;
-            }
-            resident += 1;
-            if !w.at_barrier && !w.blocked && w.ready_at <= cycle {
-                ready += 1;
-            }
-        }
-    }
+    let (resident, ready) = (slots.iter())
+        .map(|s| lock_ok(s.lock()).core.occupancy(cycle))
+        .fold((0, 0), |(a, b), (r, q)| (a + r, b + q));
     tb.reg.sample(tb.resident_warps, cycle, resident);
     tb.reg.sample(tb.ready_warps, cycle, ready);
 }
@@ -1719,65 +1333,26 @@ fn drain_malloc(
             })
         }
     };
-    let core = &mut sl.core;
-    let mut scratch = std::mem::take(&mut core.scratch);
-    {
-        let ctx = exec_ctx(&lw[li]);
-        let warp = &core.warps[wi];
-        scratch.lane_sizes.clear();
-        scratch.lane_sizes.extend(
-            (0..warp.width).map(|lane| warp.lane_active(lane).then(|| warp.eval(size, lane, &ctx))),
-        );
-    }
-    let entry = heaps.entry(heap.tagged_base.va()).or_default();
-    let mut done_at = t;
-    let mut exhausted = false;
-    scratch.results.clear();
-    scratch.results.resize(scratch.lane_sizes.len(), None);
-    for (lane, sz) in scratch.lane_sizes.iter().enumerate() {
-        let Some(sz) = sz else { continue };
-        // The device allocator is a serialized global resource: each
-        // lane's request takes its turn (§5.2.1 footnote 2).
-        let start = entry.lock_until.max(t);
-        entry.lock_until = start + cfg.heap_alloc_cycles;
-        done_at = done_at.max(entry.lock_until);
-        if dst.is_some() {
-            let aligned = sz.div_ceil(16).max(1) * 16;
-            if entry.cursor + aligned <= heap.size {
-                let ptr = heap.tagged_base.raw() + entry.cursor;
-                entry.cursor += aligned;
-                scratch.results[lane] = Some(ptr);
-            } else if cfg.malloc_blocks_on_exhaustion {
-                exhausted = true;
-                break;
-            } else {
-                scratch.results[lane] = Some(0); // CUDA malloc returns NULL
-            }
-        }
-    }
-    if exhausted {
-        let warp = &mut core.warps[wi];
-        warp.blocked = true;
-        warp.ready_at = t;
-        core.scratch = scratch;
-        profile.malloc_issues += 1;
-        lw[li].report.instructions += 1;
-        return Ok(());
-    }
-    let warp = &mut core.warps[wi];
-    if let Some(dst) = dst {
-        for (lane, r) in scratch.results.iter().enumerate() {
-            if let Some(v) = r {
-                warp.set_reg(dst, lane, *v);
-            }
-        }
-    }
-    warp.ready_at = done_at;
-    warp.advance_pc();
-    core.next_ready_at = core.next_ready_at.min(done_at);
-    core.scratch = scratch;
-    profile.malloc_issues += 1;
     lw[li].report.instructions += 1;
+    profile.malloc_issues += 1;
+    let core = &mut sl.core;
+    let warp = &mut core.warps[wi];
+    let entry = heaps.entry(heap.tagged_base.va()).or_default();
+    let ctx = lw[li].ctx();
+    match core
+        .scratch
+        .heap(cfg, warp, &ctx, heap, entry, t, dst, size)
+    {
+        Some(done_at) => {
+            warp.ready_at = done_at;
+            warp.advance_pc();
+            core.next_ready_at = core.next_ready_at.min(done_at);
+        }
+        None => {
+            warp.blocked = true;
+            warp.ready_at = t;
+        }
+    }
     Ok(())
 }
 
@@ -1804,17 +1379,7 @@ fn drain_atom<'w, 'g>(
     site: (BlockId, usize),
     instr: Instr,
 ) -> Option<AbortReq> {
-    let Instr::AtomAdd {
-        dst,
-        addr,
-        space,
-        width,
-        src,
-    } = instr
-    else {
-        unreachable!("drain_atom only receives AtomAdd");
-    };
-    let width_b = width.bytes();
+    let op = MemOp::decode(instr);
     let CoreSlot { core, shard, .. } = sl;
     let (wgid, winid) = {
         let w = &core.warps[wi];
@@ -1829,96 +1394,38 @@ fn drain_atom<'w, 'g>(
         })
     };
 
-    // ---- AGU (global-space path; shared atomics never park) -------------
+    // ---- AGU + translate + real shared-system timing --------------------
+    // (global-space path; shared atomics never park)
     let mut scratch = std::mem::take(&mut core.scratch);
-    let ptr = {
-        let ctx = exec_ctx(&lw[li]);
-        let warp = &core.warps[wi];
-        scratch.lane_vas.clear();
-        scratch.lane_vas.resize(warp.width, None);
-        let mut ptr = TaggedPtr::from_raw(0);
-        let mut ptr_set = false;
-        #[allow(clippy::needless_range_loop)] // lane drives eval() too
-        for lane in 0..warp.width {
-            if !warp.lane_active(lane) {
-                continue;
-            }
-            let (base_raw, off) = match addr {
-                AddrExpr::Flat { addr } => (warp.eval(addr, lane, &ctx), 0u64),
-                AddrExpr::BaseOffset { base, offset } => {
-                    (warp.eval(base, lane, &ctx), warp.eval(offset, lane, &ctx))
-                }
-                AddrExpr::BindingTable { bti, offset } => {
-                    (ctx.args[usize::from(bti)], warp.eval(offset, lane, &ctx))
-                }
-            };
-            if !ptr_set {
-                ptr = TaggedPtr::from_raw(base_raw);
-                ptr_set = true;
-            }
-            scratch.lane_vas[lane] =
-                Some(TaggedPtr::from_raw(base_raw).va().wrapping_add(off) & VA_MASK);
-        }
-        scratch.store_vals.clear();
-        scratch
-            .store_vals
-            .extend((0..warp.width).map(|lane| warp.eval(src, lane, &ctx)));
-        ptr
-    };
-
-    // ---- Translate + real shared-system timing --------------------------
-    let mut translation_fault: Option<MemFault> = None;
-    for va in scratch.lane_vas.iter().flatten() {
-        if let Err(f) = vm.translate(*va) {
-            translation_fault.get_or_insert(f);
-        }
-    }
-    coalesce_warp_into(&scratch.lane_vas, width_b, &mut scratch.txs);
+    let ptr = scratch.agu(&core.warps[wi], &op, &lw[li].ctx());
+    let translation_fault = scratch.translate(vm, op.width);
     let start = t.max(core.lsu_busy_until);
-    let mut done_at = start + cfg.timings.l1_hit;
-    let mut all_l1_hit = true;
-    for tx in &scratch.txs {
-        let Ok(pa) = vm.translate_bypass(tx.base) else {
-            continue;
-        };
-        let t_ready = if core.l1tlb.access(tx.base) {
-            start
-        } else {
-            shared.translate(tx.base, start)
-        };
-        let tx_done = if core.l1d.access(pa) {
-            (start + cfg.timings.l1_hit).max(t_ready + 1)
-        } else {
-            all_l1_hit = false;
-            shared.access_data(pa, (start + cfg.timings.l1_hit).max(t_ready))
-        };
-        done_at = done_at.max(tx_done);
-    }
+    let (done_at, all_l1_hit) =
+        scratch.timing(core, vm, start, cfg.timings.l1_hit, |miss, at| match miss {
+            Miss::Xlate(va) => shared.translate(va, at),
+            Miss::Data(pa) => shared.access_data(pa, at),
+        });
 
     // ---- Bounds check ----------------------------------------------------
-    let decision = lw[li].launch.plan.get(site);
+    let ls = &mut lw[li];
+    let decision = ls.launch.plan.get(site);
     let mut stall = 0u64;
     let mut verdict = GuardVerdict::Allow;
     if shard.is_some() || whole.is_some() {
         if decision == SiteCheck::Static {
-            lw[li].report.checks_skipped += 1;
-            if lw[li].launch.plan.certified(site) {
-                lw[li].report.checks_certified += 1;
+            ls.report.checks_skipped += 1;
+            if ls.launch.plan.certified(site) {
+                ls.report.checks_certified += 1;
             }
-        } else if let Some(range) = warp_address_range(&scratch.lane_vas, width_b) {
-            let access = MemAccess {
-                core: ci,
-                kernel_id: lw[li].launch.kernel_id,
-                is_store: true,
-                space,
-                pointer: ptr,
-                site,
-                range,
-                site_check: decision,
-                transactions: scratch.txs.len(),
-                active_lanes: scratch.lane_vas.iter().flatten().count(),
-                l1d_all_hit: all_l1_hit,
-            };
+        } else if let Some(access) = scratch.access(
+            ci,
+            ls.launch.kernel_id,
+            &op,
+            ptr,
+            site,
+            decision,
+            all_l1_hit,
+        ) {
             let chk = match (shard.as_deref_mut(), whole.as_ref()) {
                 (Some(s), _) => s.check(&access, vm),
                 (None, Some(m)) => lock_ok(m.lock()).check(&access, vm),
@@ -1927,94 +1434,57 @@ fn drain_atom<'w, 'g>(
             stall = chk.stall_cycles;
             verdict = chk.verdict;
             profile.bcu_checks += 1;
-            let report = &mut lw[li].report;
-            report.checks_performed += 1;
-            report.stall_attribution.record(chk.path, chk.stall_cycles);
+            ls.report.checks_performed += 1;
+            ls.report
+                .stall_attribution
+                .record(chk.path, chk.stall_cycles);
             if let Some(f) = flight.as_mut() {
-                f.record(
-                    t,
-                    FlightEvent::CheckVerdict {
-                        kernel_id: lw[li].launch.kernel_id,
-                        wg: wgid as u32,
-                        warp: winid as u16,
-                        block: site.0 .0,
-                        idx: site.1 as u32,
-                        path: chk.path.code(),
-                        verdict: chk.verdict.code(),
-                        is_store: true,
-                        lo: range.0,
-                        hi: range.1,
-                    },
-                );
+                f.record(t, lsu::verdict_event(&access, &core.warps[wi], &chk));
             }
         }
     }
 
     // ---- Outcome ---------------------------------------------------------
-    match verdict {
-        GuardVerdict::Fault => {
-            core.scratch = scratch;
-            return abort(AbortReason::BoundsViolation);
-        }
+    let fault = match verdict {
+        GuardVerdict::Fault => Some(AbortReason::BoundsViolation),
         GuardVerdict::Squash => {
-            lw[li].report.violations_squashed += 1;
-            let warp = &mut core.warps[wi];
-            for lane in 0..warp.width {
-                if warp.lane_active(lane) {
-                    warp.set_reg(dst, lane, 0);
-                }
-            }
+            ls.report.violations_squashed += 1;
+            lsu::squash(&mut core.warps[wi], &op);
+            None
         }
-        GuardVerdict::Allow => {
-            if let Some(f) = translation_fault {
-                core.scratch = scratch;
-                return abort(AbortReason::MemFault(f));
-            }
-            // Lanes serialize in lane order (real hardware serializes
-            // same-address atomics; a fixed order keeps it deterministic).
-            let warp_width = core.warps[wi].width;
-            for (lane, lane_va) in scratch.lane_vas.iter().enumerate().take(warp_width) {
-                let Some(va) = *lane_va else { continue };
-                // As in the load/store path: the pre-check translated every
-                // lane VA, so a fault here means the mapping changed under
-                // us — take the typed abort, never a panic.
-                let old = match vm.read_uint(va, width_b) {
-                    Ok(v) => v,
-                    Err(f) => {
-                        core.scratch = scratch;
-                        return abort(AbortReason::MemFault(f));
-                    }
-                };
-                let add = scratch.store_vals[lane];
-                if let Err(f) = vm.write_uint(va, width_b, old.wrapping_add(add)) {
-                    core.scratch = scratch;
-                    return abort(AbortReason::MemFault(f));
-                }
-                let warp = &mut core.warps[wi];
-                warp.set_reg(dst, lane, old);
-            }
-        }
+        // As in the load/store path: a commit fault is a lane straddling
+        // into an unmapped page — the typed abort, never a panic.
+        GuardVerdict::Allow => match translation_fault {
+            Some(f) => Some(AbortReason::MemFault(f)),
+            None => scratch
+                .commit(&mut core.warps[wi], &op, vm)
+                .err()
+                .map(AbortReason::MemFault),
+        },
+    };
+    if let Some(reason) = fault {
+        core.scratch = scratch;
+        return abort(reason);
     }
 
     // ---- Timing commit ---------------------------------------------------
     if let Some(tr) = trace.as_mut() {
-        let w = &core.warps[wi];
         tr.push(TraceEvent {
             cycle: t,
             core: ci,
             launch: li,
-            wg: w.wg,
-            warp: w.warp_in_wg,
+            wg: wgid,
+            warp: winid,
             site: Some(site),
             kind: TraceKind::Mem {
-                space,
+                space: op.space,
                 is_store: true,
                 transactions: scratch.txs.len().min(255) as u8,
                 stall: stall.min(255) as u8,
             },
         });
     }
-    let atomic_serial = scratch.lane_vas.iter().flatten().count() as u64;
+    let atomic_serial = scratch.active_lanes();
     let n_txs = scratch.txs.len() as u64;
     core.lsu_busy_until = start + n_txs + stall + atomic_serial;
     let warp = &mut core.warps[wi];
@@ -2084,13 +1554,8 @@ fn apply_abort<'w, 'g>(
     }
     for slot in slots {
         let mut s = lock_ok(slot.lock());
-        let core = &mut s.core;
-        core.warps.retain(|w| w.launch_idx != li);
-        core.wgs.retain(|g| g.launch_idx != li);
-        core.last_issued = None;
-        core.regs_used = core.regs_in_use(lw);
-        core.shared_used = core.shared_in_use();
-        core.next_ready_at = recompute_next_ready(core);
+        s.core.strip_launch(li, lw);
+        s.core.next_ready_at = s.core.next_ready();
     }
     guard_kernel_end(slots, whole, kernel_id);
 }

@@ -9,17 +9,30 @@
 //! buffers live in per-core reusable scratch. What still allocates is
 //! per-workgroup state (register files, shared memory) at dispatch — a
 //! bounded, per-kilocycle-small amount this test pins.
+//!
+//! The counter is per thread: libtest runs these tests concurrently, and a
+//! process-wide count would charge each test with the others'
+//! allocations. Every measured run uses `sim_threads = 1`, which runs the
+//! engine inline on the test's own thread, so nothing it allocates escapes
+//! the count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialised and drop-free: reading it never allocates.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc(layout)
     }
 
@@ -28,7 +41,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -36,8 +49,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Allocations made so far by the calling thread.
 fn allocs() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
+    ALLOCS.with(Cell::get)
 }
 
 #[test]
@@ -49,6 +63,8 @@ fn hot_path_allocations_per_kilocycle_stay_bounded() {
     // setup (host, caches, buffers) amortises away and the measurement
     // reflects the steady-state loop.
     let w = by_name("streamcluster").expect("streamcluster registered");
+    // The engine must run inline for the per-thread count to see it.
+    assert_eq!(gpushield_bench::runner::sim_threads(), 1);
 
     // Warm-up run: one-time lazies (workload construction, registry
     // strings) don't count against the steady state.
@@ -87,6 +103,7 @@ fn disabled_telemetry_keeps_the_hot_path_allocation_free() {
     use gpushield_workloads::by_name;
 
     let w = by_name("streamcluster").expect("streamcluster registered");
+    assert_eq!(gpushield_bench::runner::sim_threads(), 1);
     let run = || {
         let mut host = SystemHost::new(config(Target::Nvidia, Protection::shield_lat(1, 3)));
         host.attach_registry(Registry::disabled());
