@@ -23,14 +23,18 @@
 //! * the runtime auditor catches any certificate window lying,
 //! * observation perturbs simulated results: any recorder mode's
 //!   `sim_cycles` differing from the disabled run, the disabled run
-//!   drifting from the committed observe baseline, the disabled run
-//!   disagreeing with `BENCH_simcore.json`'s smoke section (same
-//!   workload/protections/reps), or full-mode event coverage dropping.
+//!   drifting from the committed observe baseline, the disabled run or
+//!   the committed observe baseline disagreeing with
+//!   `BENCH_simcore.json`'s smoke section (same workload/protections/
+//!   reps), or full-mode event coverage dropping;
+//! * the committed parallel-engine speedup falls below 2.5×: the
+//!   `BENCH_parcore.json` full-sweep instrs/s over `BENCH_simcore.json`'s,
+//!   armed only when the parcore producer recorded `host_parallelism`
+//!   ≥ 4 (otherwise the ratio is reported as skipped).
 //!
-//! The simcore/parcore rows are report-only context (their rates are gated
-//! separately by the throughput smoke); detection, precision, and
-//! observation are the gating tables. Observation *wall* overhead is
-//! report-only — wall clocks are machine-dependent.
+//! The simcore/parcore throughput rows are report-only context (their
+//! rates are gated separately by the throughput smoke). Observation
+//! *wall* overhead is report-only — wall clocks are machine-dependent.
 
 use gpushield_bench::experiments::precision::precision_summary;
 use gpushield_bench::fuzzsweep::{run_sweep, Scoreboard};
@@ -44,6 +48,7 @@ const DETECTION_PATH: &str = "BENCH_detection.json";
 const PRECISION_PATH: &str = "BENCH_static_precision.json";
 const OBSERVE_PATH: &str = "BENCH_observe.json";
 const SIMCORE_PATH: &str = "BENCH_simcore.json";
+const PARCORE_PATH: &str = "BENCH_parcore.json";
 
 fn usage() -> ExitCode {
     eprintln!("usage: trend [--check|--write] [--jobs N] [--sim-threads N]");
@@ -254,12 +259,13 @@ fn check_precision(fresh: &Json, baseline: &Json, report: &mut String) -> Vec<St
 /// Compares the fresh observation-overhead sweep against the committed
 /// baseline. Gated: schema drift, any recorder mode perturbing simulated
 /// cycles, the disabled run drifting from the committed document or from
-/// `BENCH_simcore.json`'s smoke section, and full-mode event-coverage
-/// drops. Wall-clock overhead is rendered report-only.
+/// `BENCH_simcore.json`'s smoke section, the two committed documents
+/// disagreeing with each other, and full-mode event-coverage drops.
+/// Wall-clock overhead is rendered report-only.
 fn check_observe(
     fresh: &ObserveSweep,
     baseline: &Json,
-    simcore: Option<&Json>,
+    simcore: &Json,
     report: &mut String,
 ) -> Vec<String> {
     let mut failures = Vec::new();
@@ -296,20 +302,22 @@ fn check_observe(
         ));
     }
     // The observe sweep mirrors the throughput smoke (same workload,
-    // protections, reps), so the two committed documents must agree on
-    // the simulated quantity; disagreement means one is stale.
-    if let Some(sc) = simcore {
-        let smoke_cycles = sc
-            .get("smoke")
-            .and_then(|s| s.get("sim_cycles"))
-            .and_then(Json::as_f64)
-            .map(|v| v as u64);
-        if smoke_cycles != disabled_cycles {
-            failures.push(format!(
-                "BENCH_observe disabled sim_cycles {disabled_cycles:?} != \
-                 BENCH_simcore smoke sim_cycles {smoke_cycles:?} (stale baseline)"
-            ));
-        }
+    // protections, reps), so the fresh run and both committed documents
+    // must agree on the simulated quantity; disagreement means one is
+    // stale.
+    let smoke_cycles = mode(simcore, "smoke", "sim_cycles");
+    if smoke_cycles != disabled_cycles {
+        failures.push(format!(
+            "fresh observe disabled sim_cycles {disabled_cycles:?} != \
+             BENCH_simcore smoke sim_cycles {smoke_cycles:?} (stale baseline)"
+        ));
+    }
+    let committed_cycles = mode(baseline, "disabled", "sim_cycles");
+    if committed_cycles.is_none() || committed_cycles != smoke_cycles {
+        failures.push(format!(
+            "BENCH_observe disabled sim_cycles {committed_cycles:?} != \
+             BENCH_simcore smoke sim_cycles {smoke_cycles:?} (stale baseline)"
+        ));
     }
     let (b_ev, c_ev) = (
         mode(baseline, "full", "events_recorded"),
@@ -358,6 +366,52 @@ fn check_observe(
         );
     }
     failures
+}
+
+/// The parallel-engine speedup gate over the committed throughput
+/// documents: `BENCH_parcore.json` (the fig14 sweep at `--sim-threads 4`)
+/// must reach 2.5× `BENCH_simcore.json`'s serial full-sweep instrs/s. The
+/// claim only binds when the parcore producer had the cores to back it,
+/// so the gate arms itself from the recorded `host_parallelism` (≥ 4) and
+/// otherwise reports the ratio as skipped. Missing fields fail the gate.
+fn check_parcore(parcore: &Json, simcore: &Json, report: &mut String) -> Vec<String> {
+    let rate = |d: &Json| {
+        d.get("full")
+            .and_then(|f| f.get("instrs_per_sec"))
+            .and_then(Json::as_f64)
+    };
+    let host = uint(parcore, "host_parallelism");
+    let (Some(host), Some(par), Some(ser)) = (host, rate(parcore), rate(simcore)) else {
+        return vec![format!(
+            "parcore gate: host_parallelism or full.instrs_per_sec missing from \
+             {PARCORE_PATH} / {SIMCORE_PATH}"
+        )];
+    };
+    if ser <= 0.0 {
+        return vec![format!(
+            "parcore gate: {SIMCORE_PATH} full.instrs_per_sec is {ser}"
+        )];
+    }
+    let ratio = par / ser;
+    let armed = host >= 4;
+    let failed = armed && ratio < 2.5;
+    let note = match (armed, failed) {
+        (false, _) => format!("skipped: producer had {host} hardware threads (< 4)"),
+        (true, false) => "gated: >= 2.5x".to_string(),
+        (true, true) => "REGRESSED".to_string(),
+    };
+    row(
+        report,
+        "parcore/speedup",
+        "2.50x".into(),
+        format!("{ratio:.2}x"),
+        &note,
+    );
+    if failed {
+        vec![format!("parallel speedup below 2.5x gate: {ratio:.2}x")]
+    } else {
+        Vec::new()
+    }
 }
 
 /// Report-only context row for a committed throughput baseline.
@@ -464,12 +518,14 @@ fn main() -> ExitCode {
         Ok(doc) => doc,
         Err(code) => return code,
     };
-    // The simcore cross-check is best-effort: simcore carries wall-clock
-    // rates gated elsewhere, so a missing file only skips the staleness
-    // comparison (perf_row below still reports it missing).
-    let simcore = std::fs::read_to_string(SIMCORE_PATH)
-        .ok()
-        .and_then(|t| Json::parse(&t).ok());
+    let simcore = match read_baseline(SIMCORE_PATH) {
+        Ok(doc) => doc,
+        Err(code) => return code,
+    };
+    let parcore = match read_baseline(PARCORE_PATH) {
+        Ok(doc) => doc,
+        Err(code) => return code,
+    };
 
     let mut report = String::new();
     report.push_str(&format!(
@@ -485,11 +541,12 @@ fn main() -> ExitCode {
     failures.extend(check_observe(
         &observe,
         &observe_baseline,
-        simcore.as_ref(),
+        &simcore,
         &mut report,
     ));
+    failures.extend(check_parcore(&parcore, &simcore, &mut report));
     perf_row(&mut report, SIMCORE_PATH);
-    perf_row(&mut report, "BENCH_parcore.json");
+    perf_row(&mut report, PARCORE_PATH);
     print!("{report}");
 
     if failures.is_empty() {

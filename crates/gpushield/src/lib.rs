@@ -52,7 +52,7 @@ pub use gpushield_driver::{
 pub use gpushield_sim::{
     CheckPath, FaultKind, FaultPlan, FaultSession, FaultSpec, FaultTargets, Gpu, GpuConfig,
     InjectionRecord, KernelLaunch, LaunchReport, MemGuard, MultiKernelMode, ObservedRange,
-    RunError, RunReport, StallAttribution, Trace, TraceEvent, TraceKind,
+    RunError, RunHooks, RunReport, StallAttribution, Trace, TraceEvent, TraceKind,
 };
 pub use gpushield_telemetry::flight::{FlightEvent, FlightRecord, FlightRecorder};
 pub use gpushield_telemetry::{chrome::ChromeTrace, MetricId, Registry};
@@ -198,6 +198,60 @@ pub struct ConcurrentKernel {
     pub args: Vec<Arg>,
 }
 
+/// One kernel of a batch and, for tenant launches, its tenant.
+struct Job<'a> {
+    tenant: Option<TenantId>,
+    kernel: Arc<Kernel>,
+    grid: u32,
+    block: u32,
+    args: &'a [Arg],
+}
+
+impl<'a> Job<'a> {
+    fn new(kernel: Arc<Kernel>, grid: u32, block: u32, args: &'a [Arg]) -> Self {
+        Job {
+            tenant: None,
+            kernel,
+            grid,
+            block,
+            args,
+        }
+    }
+}
+
+impl<'a> From<&'a ConcurrentKernel> for Job<'a> {
+    fn from(k: &'a ConcurrentKernel) -> Self {
+        Job::new(Arc::clone(&k.kernel), k.grid, k.block, &k.args)
+    }
+}
+
+/// How one batch runs. The default is a plain launch: the BCU guards it,
+/// kernels share the cores in [`MultiKernelMode::IntraCore`], and the
+/// engine records into the flight recorder when one is attached.
+#[derive(Default)]
+struct Batch<'h> {
+    /// The tenant table that admits, attributes and accounts tenant jobs.
+    tenants: Option<&'h mut TenantTable>,
+    mode: MultiKernelMode,
+    /// An external guard in place of the BCU, which then registers nothing.
+    guard: Option<&'h mut dyn MemGuard>,
+    faults: Option<FaultPlan>,
+    record_ranges: bool,
+    registry: Option<&'h mut Registry>,
+    trace: Option<&'h mut Trace>,
+}
+
+/// What a batch produced.
+struct Outcome {
+    report: RunReport,
+    /// Violations the batch logged (collected for tenant batches only).
+    violations: Vec<ViolationRecord>,
+    /// The static site claims of the batch's last launch.
+    site_claims: Vec<SiteClaim>,
+    /// Every injected fault that came due.
+    injected: Vec<InjectionRecord>,
+}
+
 /// The assembled GPUShield system: driver + compiler + BCU + GPU.
 pub struct System {
     cfg: SystemConfig,
@@ -211,6 +265,9 @@ pub struct System {
     seen_region_ids: HashSet<u16>,
     /// Monotone buffer counter for `BufferAlloc` events.
     buffer_seq: u32,
+    /// The launch and tenant-ownership buffers every batch reuses (empty
+    /// between batches), so a launch allocates nothing for them.
+    batch_buf: (Vec<KernelLaunch>, Vec<(TenantId, Vec<u16>)>),
 }
 
 impl System {
@@ -227,6 +284,7 @@ impl System {
             flight: None,
             seen_region_ids: HashSet::new(),
             buffer_seq: 0,
+            batch_buf: (Vec::new(), Vec::new()),
             cfg,
         }
     }
@@ -266,21 +324,6 @@ impl System {
     /// installed: the launch itself, each region's RBT window (recycled
     /// IDs flagged), the BAT attach, and every certificate-elided site.
     fn note_prepared(&mut self, prepared: &PreparedLaunch) {
-        if self.flight.is_none() {
-            return;
-        }
-        // Resolve region windows (RBT reads borrow the driver) before
-        // borrowing the recorder mutably.
-        let mut regions: Vec<(u16, u64, u64, bool)> = Vec::new();
-        if let Some(setup) = prepared.shield {
-            for &id in &prepared.region_ids {
-                let recycled = !self.seen_region_ids.insert(id);
-                let (base, size) = read_entry(self.driver.vm(), setup.rbt_base, id)
-                    .map(|e| (e.base, u64::from(e.size)))
-                    .unwrap_or((0, 0));
-                regions.push((id, base, size, recycled));
-            }
-        }
         let Some(f) = self.flight.as_mut() else {
             return;
         };
@@ -288,11 +331,16 @@ impl System {
             kernel_id: prepared.launch.kernel_id,
             regions: prepared.region_ids.len() as u16,
         });
-        for (id, base, size, recycled) in regions {
-            if recycled {
-                f.note(FlightEvent::RegionRecycle { id });
+        if let Some(setup) = prepared.shield {
+            for &id in &prepared.region_ids {
+                if !self.seen_region_ids.insert(id) {
+                    f.note(FlightEvent::RegionRecycle { id });
+                }
+                let (base, size) = read_entry(self.driver.vm(), setup.rbt_base, id)
+                    .map(|e| (e.base, u64::from(e.size)))
+                    .unwrap_or((0, 0));
+                f.note(FlightEvent::RegionAlloc { id, base, size });
             }
-            f.note(FlightEvent::RegionAlloc { id, base, size });
         }
         if let Some(bat) = &prepared.bat {
             f.note(FlightEvent::BatInstall {
@@ -389,6 +437,133 @@ impl System {
         }
     }
 
+    /// Prepares `jobs`, runs them as one batch and settles the batch:
+    /// the one launch path behind every public `launch*` method. Per job:
+    /// driver prepare (scoped to the job's tenant slice, if any) → tenant
+    /// admission → BCU registration → preparation events. Then one engine
+    /// run, tenant violation attribution and accounting, the recorder's
+    /// epoch advance and, for tenant jobs, `RegionFree` events.
+    fn run_batch<'a>(
+        &mut self,
+        jobs: impl IntoIterator<Item = Job<'a>>,
+        mut batch: Batch<'_>,
+    ) -> Result<Outcome, SystemError> {
+        let (mut launches, mut owners) = std::mem::take(&mut self.batch_buf);
+        let mut targets = FaultTargets::default();
+        let mut site_claims = Vec::new();
+        for job in jobs {
+            let mut tenant = job.tenant.zip(batch.tenants.as_deref_mut());
+            let scope = match &mut tenant {
+                Some((t, tt)) => Some(tt.allocator_mut(*t)?),
+                None => None,
+            };
+            let prepared = match self
+                .driver
+                .prepare_launch_scoped(job.kernel, job.grid, job.block, job.args, scope)
+            {
+                Ok(p) => p,
+                Err(e) => {
+                    if let Some((t, tt)) = &mut tenant {
+                        tt.record_rejection(*t)?;
+                        if let Some(f) = self.flight.as_mut() {
+                            f.note(FlightEvent::TenantReject { tenant: t.0 });
+                        }
+                        for (pt, ids) in &owners {
+                            tt.allocator_mut(*pt)?.release(ids)?;
+                        }
+                    }
+                    return Err(e.into());
+                }
+            };
+            let kernel_id = prepared.launch.kernel_id;
+            if let Some((t, tt)) = &mut tenant {
+                tt.record_launch(*t, kernel_id)?;
+            }
+            if batch.guard.is_none() {
+                self.attach_shield(prepared.shield, &prepared.region_ids);
+            }
+            if let (Some((t, _)), Some(f)) = (&tenant, self.flight.as_mut()) {
+                f.note(FlightEvent::TenantAdmit {
+                    tenant: t.0,
+                    kernel_id,
+                });
+            }
+            self.note_prepared(&prepared);
+            if let (Some(setup), Some(_)) = (prepared.shield, &batch.faults) {
+                targets
+                    .rbt_entries
+                    .extend(prepared.region_ids.iter().map(|id| {
+                        let entry = setup.rbt_base + u64::from(*id) * RBT_ENTRY_BYTES;
+                        (entry, RBT_ENTRY_BYTES)
+                    }));
+            }
+            if let Some((t, _)) = tenant {
+                owners.push((t, prepared.region_ids));
+            }
+            self.last_bat = prepared.bat;
+            site_claims = prepared.site_claims;
+            launches.push(prepared.launch);
+        }
+
+        let logged_before = self.violations().len();
+        let mut session = batch.faults.map(|plan| FaultSession::new(plan, targets));
+        // Audited and instrumented runs keep the recorder off the engine
+        // (the openmetrics golden pins the instrumented event counts); their
+        // launch preparation is still recorded.
+        let engine_flight = !batch.record_ranges && batch.registry.is_none();
+        let hooks = RunHooks {
+            mode: batch.mode,
+            flight: self.flight.as_mut().filter(|_| engine_flight),
+            trace: batch.trace,
+            registry: batch.registry.as_deref_mut(),
+            faults: session.as_mut(),
+            record_ranges: batch.record_ranges,
+        };
+        let guard: Option<&mut dyn MemGuard> = match batch.guard {
+            Some(g) => Some(g),
+            None => self.bcu.as_mut().map(|b| b as &mut dyn MemGuard),
+        };
+        let run = self
+            .gpu
+            .run_with(self.driver.vm_mut(), &launches, guard, hooks);
+        launches.clear();
+        let report = run?;
+
+        let mut violations = Vec::new();
+        if let Some(tenants) = batch.tenants {
+            violations = self.violations()[logged_before..].to_vec();
+            for v in &violations {
+                if let Some(owner) = tenants.owner_of_kernel(v.kernel_id) {
+                    tenants.note_violation(owner)?;
+                }
+            }
+            for (t, ids) in &owners {
+                tenants.stats_mut(*t)?.cycles_consumed += report.cycles;
+                tenants.complete_launch(*t, ids)?;
+            }
+        }
+        if let Some(reg) = batch.registry.as_deref_mut() {
+            self.driver.publish_telemetry(reg);
+        }
+        if let Some(f) = self.flight.as_mut() {
+            f.advance_epoch(report.cycles);
+            for &id in owners.iter().flat_map(|(_, ids)| ids) {
+                f.note(FlightEvent::RegionFree { id });
+            }
+            if let Some(reg) = batch.registry {
+                f.publish(reg);
+            }
+        }
+        owners.clear();
+        self.batch_buf = (launches, owners);
+        Ok(Outcome {
+            report,
+            violations,
+            site_claims,
+            injected: session.map(|s| s.injected().to_vec()).unwrap_or_default(),
+        })
+    }
+
     /// Launches one kernel and runs it to completion.
     ///
     /// # Errors
@@ -402,23 +577,8 @@ impl System {
         block: u32,
         args: &[Arg],
     ) -> Result<RunReport, SystemError> {
-        let prepared = self.driver.prepare_launch(kernel, grid, block, args)?;
-        self.attach_shield(prepared.shield, &prepared.region_ids);
-        self.note_prepared(&prepared);
-        self.last_bat = prepared.bat;
-        let guard = self.bcu.as_mut().map(|b| b as &mut dyn MemGuard);
-        let report = match self.flight.as_mut() {
-            Some(f) => self
-                .gpu
-                .run_observed(self.driver.vm_mut(), &[prepared.launch], guard, f)?,
-            None => self
-                .gpu
-                .run(self.driver.vm_mut(), &[prepared.launch], guard)?,
-        };
-        if let Some(f) = self.flight.as_mut() {
-            f.advance_epoch(report.cycles);
-        }
-        Ok(report)
+        let job = Job::new(kernel, grid, block, args);
+        Ok(self.run_batch([job], Batch::default())?.report)
     }
 
     /// Launches one kernel on behalf of tenant `t`: region IDs come from
@@ -444,59 +604,16 @@ impl System {
         block: u32,
         args: &[Arg],
     ) -> Result<(RunReport, Vec<ViolationRecord>), SystemError> {
-        let scope = tenants.allocator_mut(t)?;
-        let prepared =
-            match self
-                .driver
-                .prepare_launch_scoped(kernel, grid, block, args, Some(scope))
-            {
-                Ok(p) => p,
-                Err(e) => {
-                    tenants.record_rejection(t)?;
-                    if let Some(f) = self.flight.as_mut() {
-                        f.note(FlightEvent::TenantReject { tenant: t.0 });
-                    }
-                    return Err(e.into());
-                }
-            };
-        tenants.record_launch(t, prepared.launch.kernel_id)?;
-        self.attach_shield(prepared.shield, &prepared.region_ids);
-        if let Some(f) = self.flight.as_mut() {
-            f.note(FlightEvent::TenantAdmit {
-                tenant: t.0,
-                kernel_id: prepared.launch.kernel_id,
-            });
-        }
-        self.note_prepared(&prepared);
-        self.last_bat = prepared.bat;
-        let logged_before = self.bcu.as_ref().map(|b| b.violations().len());
-        let guard = self.bcu.as_mut().map(|b| b as &mut dyn MemGuard);
-        let report = match self.flight.as_mut() {
-            Some(f) => self
-                .gpu
-                .run_observed(self.driver.vm_mut(), &[prepared.launch], guard, f)?,
-            None => self
-                .gpu
-                .run(self.driver.vm_mut(), &[prepared.launch], guard)?,
+        let job = Job {
+            tenant: Some(t),
+            ..Job::new(kernel, grid, block, args)
         };
-        let new_violations: Vec<ViolationRecord> = match (self.bcu.as_ref(), logged_before) {
-            (Some(b), Some(n)) => b.violations()[n..].to_vec(),
-            _ => Vec::new(),
+        let batch = Batch {
+            tenants: Some(tenants),
+            ..Batch::default()
         };
-        for v in &new_violations {
-            if let Some(owner) = tenants.owner_of_kernel(v.kernel_id) {
-                tenants.note_violation(owner)?;
-            }
-        }
-        tenants.stats_mut(t)?.cycles_consumed += report.cycles;
-        tenants.complete_launch(t, &prepared.region_ids)?;
-        if let Some(f) = self.flight.as_mut() {
-            f.advance_epoch(report.cycles);
-            for &id in &prepared.region_ids {
-                f.note(FlightEvent::RegionFree { id });
-            }
-        }
-        Ok((report, new_violations))
+        let out = self.run_batch([job], batch)?;
+        Ok((out.report, out.violations))
     }
 
     /// Launches several kernels concurrently on behalf of their tenants
@@ -509,86 +626,27 @@ impl System {
     ///
     /// # Errors
     ///
-    /// As [`System::launch_tenant`]; on a mid-batch preparation failure
-    /// the IDs of already-prepared kernels are returned to their
-    /// allocators before the error propagates.
+    /// As [`System::launch_tenant`], plus [`RunError::NoLaunches`] for an
+    /// empty batch; on a mid-batch preparation failure the IDs of
+    /// already-prepared kernels are returned to their allocators before
+    /// the error propagates.
     pub fn launch_tenant_concurrent(
         &mut self,
         tenants: &mut TenantTable,
         kernels: Vec<(TenantId, ConcurrentKernel)>,
         mode: MultiKernelMode,
     ) -> Result<(RunReport, Vec<ViolationRecord>), SystemError> {
-        let mut launches = Vec::with_capacity(kernels.len());
-        let mut owners: Vec<(TenantId, Vec<u16>)> = Vec::with_capacity(kernels.len());
-        for (t, k) in kernels {
-            let scope = tenants.allocator_mut(t)?;
-            let prepared = match self.driver.prepare_launch_scoped(
-                k.kernel,
-                k.grid,
-                k.block,
-                &k.args,
-                Some(scope),
-            ) {
-                Ok(p) => p,
-                Err(e) => {
-                    tenants.record_rejection(t)?;
-                    if let Some(f) = self.flight.as_mut() {
-                        f.note(FlightEvent::TenantReject { tenant: t.0 });
-                    }
-                    for (pt, ids) in &owners {
-                        tenants.allocator_mut(*pt)?.release(ids)?;
-                    }
-                    return Err(e.into());
-                }
-            };
-            tenants.record_launch(t, prepared.launch.kernel_id)?;
-            self.attach_shield(prepared.shield, &prepared.region_ids);
-            if let Some(f) = self.flight.as_mut() {
-                f.note(FlightEvent::TenantAdmit {
-                    tenant: t.0,
-                    kernel_id: prepared.launch.kernel_id,
-                });
-            }
-            self.note_prepared(&prepared);
-            owners.push((t, prepared.region_ids.clone()));
-            launches.push(prepared.launch);
-        }
-        let logged_before = self.bcu.as_ref().map(|b| b.violations().len());
-        let guard = self.bcu.as_mut().map(|b| b as &mut dyn MemGuard);
-        // The observed engine path runs the default fine-grained sharing
-        // mode; an explicit InterCore request keeps the unobserved path
-        // (launch-prep and admission events are still recorded).
-        let report = match self.flight.as_mut() {
-            Some(f) if mode == MultiKernelMode::IntraCore => {
-                self.gpu
-                    .run_observed(self.driver.vm_mut(), &launches, guard, f)?
-            }
-            _ => self
-                .gpu
-                .run_multi(self.driver.vm_mut(), &launches, mode, guard)?,
+        let jobs = kernels.iter().map(|(t, k)| Job {
+            tenant: Some(*t),
+            ..Job::from(k)
+        });
+        let batch = Batch {
+            tenants: Some(tenants),
+            mode,
+            ..Batch::default()
         };
-        let new_violations: Vec<ViolationRecord> = match (self.bcu.as_ref(), logged_before) {
-            (Some(b), Some(n)) => b.violations()[n..].to_vec(),
-            _ => Vec::new(),
-        };
-        for v in &new_violations {
-            if let Some(owner) = tenants.owner_of_kernel(v.kernel_id) {
-                tenants.note_violation(owner)?;
-            }
-        }
-        for (t, ids) in &owners {
-            tenants.stats_mut(*t)?.cycles_consumed += report.cycles;
-            tenants.complete_launch(*t, ids)?;
-        }
-        if let Some(f) = self.flight.as_mut() {
-            f.advance_epoch(report.cycles);
-            for (_, ids) in &owners {
-                for &id in ids {
-                    f.note(FlightEvent::RegionFree { id });
-                }
-            }
-        }
-        Ok((report, new_violations))
+        let out = self.run_batch(jobs, batch)?;
+        Ok((out.report, out.violations))
     }
 
     /// Launches one kernel under a deterministic fault-injection plan
@@ -611,42 +669,19 @@ impl System {
         args: &[Arg],
         plan: FaultPlan,
     ) -> Result<(RunReport, Vec<InjectionRecord>), SystemError> {
-        let prepared = self.driver.prepare_launch(kernel, grid, block, args)?;
-        let mut targets = FaultTargets::default();
-        if let Some(setup) = prepared.shield {
-            targets.rbt_entries = prepared
-                .region_ids
-                .iter()
-                .map(|id| {
-                    (
-                        setup.rbt_base + u64::from(*id) * RBT_ENTRY_BYTES,
-                        RBT_ENTRY_BYTES,
-                    )
-                })
-                .collect();
-        }
-        self.attach_shield(prepared.shield, &prepared.region_ids);
-        self.note_prepared(&prepared);
-        self.last_bat = prepared.bat;
-        let mut session = FaultSession::new(plan, targets);
-        let guard = self.bcu.as_mut().map(|b| b as &mut dyn MemGuard);
-        let report = self.gpu.run_faulted(
-            self.driver.vm_mut(),
-            &[prepared.launch],
-            guard,
-            &mut session,
-            self.flight.as_mut(),
-        )?;
-        if let Some(f) = self.flight.as_mut() {
-            f.advance_epoch(report.cycles);
-        }
-        Ok((report, session.injected().to_vec()))
+        let job = Job::new(kernel, grid, block, args);
+        let batch = Batch {
+            faults: Some(plan),
+            ..Batch::default()
+        };
+        let out = self.run_batch([job], batch)?;
+        Ok((out.report, out.injected))
     }
 
-    /// Launches one kernel with soundness-audit recording: runs under
-    /// [`Gpu::run_recorded`] and returns, alongside the run report, the
-    /// driver's static [`SiteClaim`]s for this launch. The caller can then
-    /// compare each claim's declared window against the matching
+    /// Launches one kernel with soundness-audit recording (see
+    /// [`RunHooks::record_ranges`]) and returns, alongside the run report,
+    /// the driver's static [`SiteClaim`]s for this launch. The caller can
+    /// then compare each claim's declared window against the matching
     /// [`ObservedRange`] in the report — any statically elided (Type 1) or
     /// size-embedded (Type 3) site whose observed addresses escape the
     /// declared window is a soundness violation of the BAT.
@@ -661,53 +696,22 @@ impl System {
         block: u32,
         args: &[Arg],
     ) -> Result<(RunReport, Vec<SiteClaim>), SystemError> {
-        let prepared = self.driver.prepare_launch(kernel, grid, block, args)?;
-        self.attach_shield(prepared.shield, &prepared.region_ids);
-        self.note_prepared(&prepared);
-        self.last_bat = prepared.bat;
-        let guard = self.bcu.as_mut().map(|b| b as &mut dyn MemGuard);
-        let report = self
-            .gpu
-            .run_recorded(self.driver.vm_mut(), &[prepared.launch], guard)?;
-        if let Some(f) = self.flight.as_mut() {
-            f.advance_epoch(report.cycles);
-        }
-        Ok((report, prepared.site_claims))
-    }
-
-    /// Launches one kernel with execution tracing (see [`Trace`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`System::launch`].
-    pub fn launch_traced(
-        &mut self,
-        kernel: Arc<Kernel>,
-        grid: u32,
-        block: u32,
-        args: &[Arg],
-        trace: &mut Trace,
-    ) -> Result<RunReport, SystemError> {
-        let prepared = self.driver.prepare_launch(kernel, grid, block, args)?;
-        self.attach_shield(prepared.shield, &prepared.region_ids);
-        self.note_prepared(&prepared);
-        self.last_bat = prepared.bat;
-        let guard = self.bcu.as_mut().map(|b| b as &mut dyn MemGuard);
-        let report = self
-            .gpu
-            .run_traced(self.driver.vm_mut(), &[prepared.launch], guard, trace)?;
-        if let Some(f) = self.flight.as_mut() {
-            f.advance_epoch(report.cycles);
-        }
-        Ok(report)
+        let job = Job::new(kernel, grid, block, args);
+        let batch = Batch {
+            record_ranges: true,
+            ..Batch::default()
+        };
+        let out = self.run_batch([job], batch)?;
+        Ok((out.report, out.site_claims))
     }
 
     /// Launches one kernel with full telemetry: scheduler occupancy series,
     /// stall-attribution counters, cache/TLB/DRAM statistics and driver
     /// metadata-cost gauges are published into `registry`, and the
-    /// execution is optionally recorded into `trace` for Chrome export.
-    /// With a [`Registry::disabled`] registry the run behaves exactly like
-    /// [`System::launch`] apart from one branch per scheduler slot.
+    /// execution is optionally recorded into `trace` (see [`Trace`]) for
+    /// Chrome export. With a [`Registry::disabled`] registry the run
+    /// behaves exactly like [`System::launch`] apart from one branch per
+    /// scheduler slot.
     ///
     /// # Errors
     ///
@@ -721,59 +725,31 @@ impl System {
         registry: &mut Registry,
         trace: Option<&mut Trace>,
     ) -> Result<RunReport, SystemError> {
-        let prepared = self.driver.prepare_launch(kernel, grid, block, args)?;
-        self.attach_shield(prepared.shield, &prepared.region_ids);
-        self.note_prepared(&prepared);
-        self.last_bat = prepared.bat;
-        let guard = self.bcu.as_mut().map(|b| b as &mut dyn MemGuard);
-        let report = self.gpu.run_instrumented(
-            self.driver.vm_mut(),
-            &[prepared.launch],
-            guard,
-            registry,
+        let job = Job::new(kernel, grid, block, args);
+        let batch = Batch {
+            registry: Some(registry),
             trace,
-        )?;
-        self.driver.publish_telemetry(registry);
-        if let Some(f) = self.flight.as_mut() {
-            f.advance_epoch(report.cycles);
-            f.publish(registry);
-        }
-        Ok(report)
+            ..Batch::default()
+        };
+        Ok(self.run_batch([job], batch)?.report)
     }
 
     /// Launches several kernels concurrently (§6.2) under `mode`.
     ///
     /// # Errors
     ///
-    /// As [`System::launch`].
+    /// As [`System::launch`], plus [`RunError::NoLaunches`] for an empty
+    /// batch.
     pub fn launch_concurrent(
         &mut self,
         kernels: Vec<ConcurrentKernel>,
         mode: MultiKernelMode,
     ) -> Result<RunReport, SystemError> {
-        let mut launches = Vec::with_capacity(kernels.len());
-        for k in kernels {
-            let prepared = self
-                .driver
-                .prepare_launch(k.kernel, k.grid, k.block, &k.args)?;
-            self.attach_shield(prepared.shield, &prepared.region_ids);
-            self.note_prepared(&prepared);
-            launches.push(prepared.launch);
-        }
-        let guard = self.bcu.as_mut().map(|b| b as &mut dyn MemGuard);
-        let report = match self.flight.as_mut() {
-            Some(f) if mode == MultiKernelMode::IntraCore => {
-                self.gpu
-                    .run_observed(self.driver.vm_mut(), &launches, guard, f)?
-            }
-            _ => self
-                .gpu
-                .run_multi(self.driver.vm_mut(), &launches, mode, guard)?,
+        let batch = Batch {
+            mode,
+            ..Batch::default()
         };
-        if let Some(f) = self.flight.as_mut() {
-            f.advance_epoch(report.cycles);
-        }
-        Ok(report)
+        Ok(self.run_batch(kernels.iter().map(Job::from), batch)?.report)
     }
 
     /// Launches one kernel under an external guard (used by the
@@ -790,22 +766,12 @@ impl System {
         args: &[Arg],
         guard: &mut dyn MemGuard,
     ) -> Result<RunReport, SystemError> {
-        let prepared = self.driver.prepare_launch(kernel, grid, block, args)?;
-        self.note_prepared(&prepared);
-        self.last_bat = prepared.bat;
-        let report = match self.flight.as_mut() {
-            Some(f) => {
-                self.gpu
-                    .run_observed(self.driver.vm_mut(), &[prepared.launch], Some(guard), f)?
-            }
-            None => self
-                .gpu
-                .run(self.driver.vm_mut(), &[prepared.launch], Some(guard))?,
+        let job = Job::new(kernel, grid, block, args);
+        let batch = Batch {
+            guard: Some(guard),
+            ..Batch::default()
         };
-        if let Some(f) = self.flight.as_mut() {
-            f.advance_epoch(report.cycles);
-        }
-        Ok(report)
+        Ok(self.run_batch([job], batch)?.report)
     }
 
     /// BCU statistics (zeroed when the shield is off).
@@ -860,7 +826,8 @@ impl System {
         }
     }
 
-    /// The Bounds-Analysis Table of the most recent launch.
+    /// The Bounds-Analysis Table of the most recent launch (of a
+    /// concurrent batch's last kernel).
     pub fn last_bat(&self) -> Option<&BoundsAnalysis> {
         self.last_bat.as_ref()
     }

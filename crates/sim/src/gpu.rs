@@ -7,12 +7,12 @@ use crate::fault::{self, FaultKind, FaultSession};
 use crate::guard::{GuardVerdict, MemGuard};
 use crate::launch::{KernelLaunch, SiteCheck};
 use crate::stats::{self, AbortReason, LaunchReport, RunReport, SimProfile};
-use crate::trace::{Trace, TraceEvent, TraceKind};
+use crate::trace::Trace;
 use crate::warp::{ExecCtx, SimpleOutcome, Warp};
 use gpushield_isa::{Instr, MemSpace, ReconvergenceTable, TaggedPtr};
-use gpushield_mem::{Cache, Replacement, SharedMemorySystem, Tlb, VirtualMemorySpace};
+use gpushield_mem::{Cache, CacheStats, Replacement, SharedMemorySystem, Tlb, VirtualMemorySpace};
 use gpushield_telemetry::flight::{FlightEvent, FlightRecorder};
-use gpushield_telemetry::{MetricId, Registry};
+use gpushield_telemetry::Registry;
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
@@ -78,6 +78,14 @@ pub enum RunError {
         /// Cycle at which the deadlock was detected.
         cycle: u64,
     },
+    /// The batch held no launches.
+    NoLaunches,
+    /// The reference engine, which fault-injected and range-recording
+    /// runs take, was asked for a hook it cannot serve.
+    UnsupportedHook {
+        /// The hook: `"trace"`, `"registry"` or `"InterCore mode"`.
+        hook: &'static str,
+    },
 }
 
 impl fmt::Display for RunError {
@@ -98,6 +106,11 @@ impl fmt::Display for RunError {
             RunError::HeapDeadlock { cycle } => {
                 write!(f, "heap-allocation deadlock detected at cycle {cycle}")
             }
+            RunError::NoLaunches => write!(f, "no launches given"),
+            RunError::UnsupportedHook { hook } => write!(
+                f,
+                "fault-injected and range-recording runs cannot serve the {hook} hook"
+            ),
         }
     }
 }
@@ -203,6 +216,29 @@ impl Core {
             *age_seq += 1;
             self.warps.push(warp);
         }
+    }
+
+    /// Places the next workgroup of launch `li` at `cycle` if it fits
+    /// beside the resident ones; returns the workgroup placed.
+    fn dispatch(
+        &mut self,
+        cfg: &GpuConfig,
+        launches: &mut [LaunchState],
+        li: usize,
+        cycle: u64,
+        age_seq: &mut u64,
+    ) -> Option<u64> {
+        if !self.fits(cfg, launches, li) {
+            return None;
+        }
+        let ls = &mut launches[li];
+        let wg = ls.next_wg;
+        ls.next_wg += 1;
+        if ls.report.start_cycle == 0 && ls.report.instructions == 0 {
+            ls.report.start_cycle = cycle;
+        }
+        self.place_wg(cfg, (li, ls), wg, cycle, age_seq);
+        Some(wg)
     }
 
     /// Greedy-then-oldest warp pick at cycle `t`: the last-issued warp
@@ -319,6 +355,85 @@ fn launch_allowed_on_core(
     }
 }
 
+/// Round-robin workgroup dispatch, shared by both engines. Workgroups
+/// spread across cores (at most one new workgroup per core per round), as
+/// real dispatchers balance occupancy instead of packing one SM full
+/// first. `place(launches, core, li)` places launch `li`'s next workgroup
+/// on `core` if it fits and reports whether it did. Inlined: the
+/// reference engine calls it every cycle, mostly to take the fast path.
+#[inline(always)]
+fn dispatch_round_robin(
+    cfg: &GpuConfig,
+    mode: MultiKernelMode,
+    launches: &mut [LaunchState],
+    rr_cursor: &mut usize,
+    mut place: impl FnMut(&mut [LaunchState], usize, usize) -> bool,
+) {
+    let pending = |l: &LaunchState| !l.aborted && l.next_wg < u64::from(l.launch.launch.grid);
+    // Fast path: nothing left to place (the common case once every grid
+    // is fully dispatched) — skip the per-core fit probing.
+    if !launches.iter().any(pending) {
+        return;
+    }
+    let n = launches.len();
+    loop {
+        let mut any = false;
+        for core_idx in 0..cfg.num_cores {
+            for k in 0..n {
+                let li = (*rr_cursor + k) % n;
+                if pending(&launches[li])
+                    && launch_allowed_on_core(cfg, mode, n, li, core_idx)
+                    && place(launches, core_idx, li)
+                {
+                    *rr_cursor = (li + 1) % n;
+                    any = true;
+                    break;
+                }
+            }
+        }
+        if !any {
+            break;
+        }
+    }
+}
+
+/// The per-core L1D and L1-TLB statistics summed over `cores`.
+fn l1_totals(cores: impl Iterator<Item = (CacheStats, CacheStats)>) -> (CacheStats, CacheStats) {
+    let (mut l1d, mut l1_tlb) = (CacheStats::default(), CacheStats::default());
+    for (d, t) in cores {
+        for (sum, s) in [(&mut l1d, d), (&mut l1_tlb, t)] {
+            sum.hits += s.hits;
+            sum.misses += s.misses;
+            sum.evictions += s.evictions;
+        }
+    }
+    (l1d, l1_tlb)
+}
+
+/// Assembles a run report from the launch reports, the summed L1
+/// statistics and the shared memory system; the DRAM request count is
+/// folded into `profile`.
+fn run_report(
+    cycles: u64,
+    launches: Vec<LaunchReport>,
+    (l1d, l1_tlb): (CacheStats, CacheStats),
+    shared: &SharedMemorySystem,
+    mut profile: SimProfile,
+) -> RunReport {
+    let dram = shared.dram_stats();
+    profile.dram_accesses = dram.requests;
+    RunReport {
+        cycles,
+        launches,
+        l1d,
+        l1_tlb,
+        l2: shared.l2_stats(),
+        l2_tlb: shared.l2_tlb_stats(),
+        dram,
+        profile,
+    }
+}
+
 /// The scheduler's invariant: a core's warps sit in dispatch (age) order.
 fn ages_ascend(warps: &[Warp]) -> bool {
     warps.windows(2).all(|p| p[0].age < p[1].age)
@@ -333,7 +448,7 @@ struct LaunchState {
     aborted: bool,
     report: LaunchReport,
     /// Per-site attempted-address extremes, populated only under
-    /// [`Gpu::run_recorded`] (`None` keeps the default hot path
+    /// [`RunHooks::record_ranges`] (`None` keeps the default hot path
     /// allocation-free).
     observed: Option<HashMap<(gpushield_isa::BlockId, usize), (u64, u64)>>,
 }
@@ -397,53 +512,22 @@ impl Gpu {
     ///
     /// # Errors
     ///
-    /// See [`RunError`]. In-kernel faults (illegal accesses, bounds
-    /// violations) do *not* produce an `Err`; they abort the offending
-    /// launch and surface in its [`LaunchReport`].
+    /// See [`Gpu::run_with`].
     pub fn run(
         &mut self,
         vm: &mut VirtualMemorySpace,
         launches: &[KernelLaunch],
         guard: Option<&mut dyn MemGuard>,
     ) -> Result<RunReport, RunError> {
-        self.run_multi(vm, launches, MultiKernelMode::IntraCore, guard)
+        self.run_with(vm, launches, guard, RunHooks::default())
     }
 
-    /// Runs `launches` with an explicit multi-kernel sharing mode.
+    /// Like [`Gpu::run`], additionally recording flight events into
+    /// `flight` (see [`RunHooks::flight`]).
     ///
     /// # Errors
     ///
-    /// See [`Gpu::run`].
-    pub fn run_multi(
-        &mut self,
-        vm: &mut VirtualMemorySpace,
-        launches: &[KernelLaunch],
-        mode: MultiKernelMode,
-        guard: Option<&mut dyn MemGuard>,
-    ) -> Result<RunReport, RunError> {
-        self.shared.begin_run();
-        par::run_engine(
-            &self.cfg,
-            vm,
-            &mut self.shared,
-            launches,
-            mode,
-            guard,
-            None,
-            None,
-            None,
-        )
-    }
-
-    /// Like [`Gpu::run`], additionally recording structured flight events
-    /// (kernel lifecycle, check verdicts, aborts, watchdog trips) into
-    /// `flight`. Events are buffered per core and drained in canonical
-    /// `(cycle, core, seq)` order, so the recorded stream is identical
-    /// for every `sim_threads` setting.
-    ///
-    /// # Errors
-    ///
-    /// See [`Gpu::run`].
+    /// See [`Gpu::run_with`].
     pub fn run_observed(
         &mut self,
         vm: &mut VirtualMemorySpace,
@@ -451,197 +535,149 @@ impl Gpu {
         guard: Option<&mut dyn MemGuard>,
         flight: &mut FlightRecorder,
     ) -> Result<RunReport, RunError> {
-        self.shared.begin_run();
-        par::run_engine(
-            &self.cfg,
-            vm,
-            &mut self.shared,
-            launches,
-            MultiKernelMode::IntraCore,
-            guard,
-            None,
-            None,
-            Some(flight),
-        )
+        let hooks = RunHooks {
+            flight: Some(flight),
+            ..RunHooks::default()
+        };
+        self.run_with(vm, launches, guard, hooks)
     }
 
-    /// Like [`Gpu::run`], recording dispatch/memory/barrier/retire events
-    /// into `trace` (bounded by the trace's capacity).
+    /// Like [`Gpu::run`], additionally recording the attempted address
+    /// range of every memory site (see [`RunHooks::record_ranges`]).
     ///
     /// # Errors
     ///
-    /// See [`Gpu::run`].
-    pub fn run_traced(
-        &mut self,
-        vm: &mut VirtualMemorySpace,
-        launches: &[KernelLaunch],
-        guard: Option<&mut dyn MemGuard>,
-        trace: &mut Trace,
-    ) -> Result<RunReport, RunError> {
-        self.shared.begin_run();
-        par::run_engine(
-            &self.cfg,
-            vm,
-            &mut self.shared,
-            launches,
-            MultiKernelMode::IntraCore,
-            guard,
-            Some(trace),
-            None,
-            None,
-        )
-    }
-
-    /// Like [`Gpu::run`], additionally recording, for every static memory
-    /// instruction outside shared memory, the lowest and highest byte
-    /// address any lane *attempted* to access (captured after address
-    /// generation, before the bounds-check verdict). The extremes surface
-    /// in each [`LaunchReport`]'s `observed_ranges`, sorted by site.
-    ///
-    /// This is the measurement side of the BAT soundness audit: replaying a
-    /// workload under `run_recorded` and comparing the observed ranges
-    /// against the driver's static claims detects any elided or
-    /// size-embedded check whose declared window the kernel escaped.
-    ///
-    /// # Errors
-    ///
-    /// See [`Gpu::run`].
+    /// See [`Gpu::run_with`].
     pub fn run_recorded(
         &mut self,
         vm: &mut VirtualMemorySpace,
         launches: &[KernelLaunch],
         guard: Option<&mut dyn MemGuard>,
     ) -> Result<RunReport, RunError> {
-        self.shared.begin_run();
-        let mut st = RunState::new(
-            &self.cfg,
-            vm,
-            &mut self.shared,
-            launches,
-            MultiKernelMode::IntraCore,
-            guard,
-        )?;
-        for l in &mut st.launches {
-            l.observed = Some(HashMap::new());
-        }
-        st.run()?;
-        Ok(st.into_report())
+        let hooks = RunHooks {
+            record_ranges: true,
+            ..RunHooks::default()
+        };
+        self.run_with(vm, launches, guard, hooks)
     }
 
-    /// Like [`Gpu::run`], but with a deterministic fault-injection session
-    /// (see [`crate::fault`]) corrupting protection metadata mid-run. The
-    /// session's injection log survives the call; running with an empty
-    /// plan is behaviourally identical to [`Gpu::run`].
+    /// Runs `launches` to completion with the optional inputs in `hooks`
+    /// and returns the run report. Every other `run*` method is a
+    /// one-line call to this one.
+    ///
+    /// The run takes the cycle-quantum engine unless `hooks` carries a
+    /// non-empty fault session or asks for range recording; those take
+    /// the sequential reference engine, which serves the flight recorder
+    /// but not a trace, an enabled registry or
+    /// [`MultiKernelMode::InterCore`].
     ///
     /// # Errors
     ///
-    /// See [`Gpu::run`]; additionally [`RunError::CycleBudgetExceeded`]
-    /// when an injected hang trips the `max_cycles` watchdog.
-    pub fn run_faulted(
+    /// See [`RunError`]: [`RunError::NoLaunches`] for an empty batch and
+    /// [`RunError::UnsupportedHook`] for a hook the chosen engine cannot
+    /// serve. In-kernel faults (illegal accesses, bounds violations) do
+    /// *not* produce an `Err`; they abort the offending launch and
+    /// surface in its [`LaunchReport`].
+    pub fn run_with(
         &mut self,
         vm: &mut VirtualMemorySpace,
         launches: &[KernelLaunch],
         guard: Option<&mut dyn MemGuard>,
-        session: &mut FaultSession,
-        flight: Option<&mut FlightRecorder>,
+        hooks: RunHooks<'_>,
     ) -> Result<RunReport, RunError> {
-        if session.is_empty() {
-            // Nothing can ever fire: take the quantum engine so the
-            // documented "empty plan ≡ run" equivalence holds exactly.
-            return match flight {
-                Some(f) => self.run_observed(vm, launches, guard, f),
-                None => self.run(vm, launches, guard),
-            };
-        }
-        self.shared.begin_run();
-        let mut st = RunState::new(
-            &self.cfg,
-            vm,
-            &mut self.shared,
-            launches,
-            MultiKernelMode::IntraCore,
-            guard,
-        )?;
-        st.fault = Some(session);
-        st.flight = flight;
-        st.run()?;
-        Ok(st.into_report())
-    }
-
-    /// Like [`Gpu::run`], publishing the full telemetry of the run into
-    /// `registry`: scheduler counters and stride-sampled occupancy series
-    /// while running, then launch totals, per-path stall attribution
-    /// (`sim.stall.*`), the hot-path profile (`sim.profile.*` gauges) and
-    /// memory-hierarchy statistics (`mem.*`, including per-channel DRAM
-    /// occupancy) at completion. With `trace`, additionally records the
-    /// bounded event stream exactly as [`Gpu::run_traced`] does — the two
-    /// feeds together are what the Chrome-trace exporter consumes.
-    ///
-    /// Passing a [`Registry::disabled`] registry is behaviourally and
-    /// allocation-identical to [`Gpu::run`]: every hook degenerates to one
-    /// early-returning branch.
-    ///
-    /// # Errors
-    ///
-    /// See [`Gpu::run`].
-    pub fn run_instrumented(
-        &mut self,
-        vm: &mut VirtualMemorySpace,
-        launches: &[KernelLaunch],
-        guard: Option<&mut dyn MemGuard>,
-        registry: &mut Registry,
-        trace: Option<&mut Trace>,
-    ) -> Result<RunReport, RunError> {
-        self.shared.begin_run();
-        let report = par::run_engine(
-            &self.cfg,
-            vm,
-            &mut self.shared,
-            launches,
-            MultiKernelMode::IntraCore,
-            guard,
+        let RunHooks {
+            mode,
+            flight,
             trace,
-            registry.enabled().then_some(&mut *registry),
-            None,
-        )?;
-        stats::publish_run_report(registry, &report);
-        gpushield_mem::publish_dram_channels(registry, "mem.dram", self.shared.dram());
+            mut registry,
+            faults,
+            record_ranges,
+        } = hooks;
+        if launches.is_empty() {
+            return Err(RunError::NoLaunches);
+        }
+        let faults = faults.filter(|s| !s.is_empty());
+        let report = if faults.is_some() || record_ranges {
+            let unsupported = if trace.is_some() {
+                Some("trace")
+            } else if registry.as_ref().is_some_and(|r| r.enabled()) {
+                Some("registry")
+            } else if mode == MultiKernelMode::InterCore {
+                Some("InterCore mode")
+            } else {
+                None
+            };
+            if let Some(hook) = unsupported {
+                return Err(RunError::UnsupportedHook { hook });
+            }
+            self.shared.begin_run();
+            let mut st = RunState::new(&self.cfg, vm, &mut self.shared, launches, guard)?;
+            if record_ranges {
+                for l in &mut st.launches {
+                    l.observed = Some(HashMap::new());
+                }
+            }
+            st.fault = faults;
+            st.flight = flight;
+            st.run()?;
+            st.into_report()
+        } else {
+            self.shared.begin_run();
+            let tele = registry.as_deref_mut().filter(|r| r.enabled());
+            par::run_engine(
+                &self.cfg,
+                vm,
+                &mut self.shared,
+                launches,
+                mode,
+                guard,
+                trace,
+                tele,
+                flight,
+            )?
+        };
+        if let Some(reg) = registry {
+            stats::publish_run_report(reg, &report);
+            gpushield_mem::publish_dram_channels(reg, "mem.dram", self.shared.dram());
+        }
         Ok(report)
     }
 }
 
-/// Hot-loop telemetry hooks: the registry plus pre-resolved metric
-/// handles, so instrumented runs record in O(1) and uninstrumented runs
-/// pay exactly one `Option` branch per hook site.
-struct TeleCtx<'t> {
-    reg: &'t mut Registry,
-    /// Next cycle at or after which the occupancy series sample fires
-    /// (stride-bucket crossing; robust to event-skip cycle jumps).
-    next_sample: u64,
-    resident_warps: MetricId,
-    ready_warps: MetricId,
-    no_issue_slots: MetricId,
-    idle_skip_cycles: MetricId,
-    visible_stall: MetricId,
-}
-
-impl<'t> TeleCtx<'t> {
-    fn new(reg: &'t mut Registry) -> Self {
-        let resident_warps = reg.series("sim.series.resident_warps");
-        let ready_warps = reg.series("sim.series.ready_warps");
-        let no_issue_slots = reg.counter("sim.sched.no_issue_slots");
-        let idle_skip_cycles = reg.counter("sim.sched.idle_skip_cycles");
-        let visible_stall = reg.histogram("sim.hist.visible_stall_cycles");
-        TeleCtx {
-            reg,
-            next_sample: 0,
-            resident_warps,
-            ready_warps,
-            no_issue_slots,
-            idle_skip_cycles,
-            visible_stall,
-        }
-    }
+/// The optional inputs of one [`Gpu::run_with`] call;
+/// `RunHooks::default()` is a plain [`Gpu::run`].
+#[derive(Default)]
+pub struct RunHooks<'h> {
+    /// How concurrent launches share the cores (§6.2).
+    pub mode: MultiKernelMode,
+    /// Records structured flight events (kernel lifecycle, check
+    /// verdicts, aborts, watchdog trips, injected faults). Events are
+    /// buffered per core and drained in canonical `(cycle, core, seq)`
+    /// order, so the stream is identical for every `sim_threads` setting.
+    pub flight: Option<&'h mut FlightRecorder>,
+    /// Records dispatch/memory/barrier/retire events, bounded by the
+    /// trace's capacity.
+    pub trace: Option<&'h mut Trace>,
+    /// Publishes the full telemetry of the run: scheduler counters and
+    /// stride-sampled occupancy series while running, then launch totals,
+    /// per-path stall attribution (`sim.stall.*`), the hot-path profile
+    /// (`sim.profile.*` gauges) and memory-hierarchy statistics (`mem.*`,
+    /// including per-channel DRAM occupancy). A [`Registry::disabled`]
+    /// registry is behaviourally and allocation-identical to none.
+    pub registry: Option<&'h mut Registry>,
+    /// A deterministic fault-injection session (see [`FaultSession`])
+    /// corrupting protection metadata mid-run. Its injection log survives
+    /// the call; an empty plan is behaviourally identical to no session.
+    pub faults: Option<&'h mut FaultSession>,
+    /// Records, for every static memory instruction outside shared memory,
+    /// the lowest and highest byte address any lane *attempted* to access
+    /// (after address generation, before the bounds-check verdict), into
+    /// each [`LaunchReport`]'s `observed_ranges`, sorted by site. This is
+    /// the measurement side of the BAT soundness audit: comparing the
+    /// observed ranges against the driver's static claims detects any
+    /// elided or size-embedded check whose declared window the kernel
+    /// escaped.
+    pub record_ranges: bool,
 }
 
 /// Validates the launches and builds their per-run bookkeeping. Shared by
@@ -650,7 +686,6 @@ fn build_launch_states(
     cfg: &GpuConfig,
     launches: &[KernelLaunch],
 ) -> Result<Vec<LaunchState>, RunError> {
-    assert!(!launches.is_empty(), "no launches given");
     let mut ls = Vec::with_capacity(launches.len());
     for l in launches {
         l.assert_bound();
@@ -691,13 +726,10 @@ struct RunState<'c, 'v, 'g, 't> {
     cores: Vec<Core>,
     launches: Vec<LaunchState>,
     heaps: HashMap<u64, HeapRun>,
-    mode: MultiKernelMode,
     cycle: u64,
     age_seq: u64,
     rr_cursor: usize,
-    trace: Option<&'t mut Trace>,
     fault: Option<&'t mut FaultSession>,
-    telemetry: Option<TeleCtx<'t>>,
     flight: Option<&'t mut FlightRecorder>,
     profile: SimProfile,
 }
@@ -708,7 +740,6 @@ impl<'c, 'v, 'g, 't> RunState<'c, 'v, 'g, 't> {
         vm: &'v mut VirtualMemorySpace,
         shared: &'c mut SharedMemorySystem,
         launches: &[KernelLaunch],
-        mode: MultiKernelMode,
         guard: Option<&'g mut (dyn MemGuard + 'g)>,
     ) -> Result<Self, RunError> {
         let ls = build_launch_states(cfg, launches)?;
@@ -720,116 +751,24 @@ impl<'c, 'v, 'g, 't> RunState<'c, 'v, 'g, 't> {
             cores: (0..cfg.num_cores).map(|_| Core::new(cfg)).collect(),
             launches: ls,
             heaps: HashMap::new(),
-            mode,
             cycle: 0,
             age_seq: 0,
             rr_cursor: 0,
-            trace: None,
             fault: None,
-            telemetry: None,
             flight: None,
             profile: SimProfile::default(),
         })
     }
 
-    fn emit(
-        &mut self,
-        core: usize,
-        li: usize,
-        wg: u64,
-        warp: usize,
-        site: Option<(gpushield_isa::BlockId, usize)>,
-        kind: TraceKind,
-    ) {
-        if let Some(t) = self.trace.as_mut() {
-            t.push(TraceEvent {
-                cycle: self.cycle,
-                core,
-                launch: li,
-                wg,
-                warp,
-                site,
-                kind,
-            });
-        }
-    }
-
-    /// Samples the occupancy time series on stride-bucket crossings. The
-    /// scheduler's event skip jumps the cycle counter, so sampling keys on
-    /// "has the cycle reached the next stride boundary" rather than exact
-    /// cycle equality — one point per crossed bucket, deterministic in
-    /// simulated time.
-    fn sample_occupancy(&mut self) {
-        let Some(t) = self.telemetry.as_mut() else {
-            return;
-        };
-        if self.cycle < t.next_sample {
-            return;
-        }
-        let stride = t.reg.stride();
-        t.next_sample = (self.cycle / stride + 1) * stride;
-        let (resident, ready) = (self.cores.iter())
-            .map(|c| c.occupancy(self.cycle))
-            .fold((0, 0), |(a, b), (r, q)| (a + r, b + q));
-        t.reg.sample(t.resident_warps, self.cycle, resident);
-        t.reg.sample(t.ready_warps, self.cycle, ready);
-    }
-
     fn try_dispatch(&mut self) {
-        // Fast path: nothing left to place (the common case once every
-        // grid is fully dispatched) — skip the per-core fit probing.
-        if self
-            .launches
-            .iter()
-            .all(|l| l.aborted || l.next_wg >= u64::from(l.launch.launch.grid))
-        {
-            return;
-        }
-        // Workgroups spread round-robin across cores (at most one new
-        // workgroup per core per round), as real dispatchers balance
-        // occupancy instead of packing one SM full first.
-        loop {
-            let mut any = false;
-            for core_idx in 0..self.cores.len() {
-                let n = self.launches.len();
-                for k in 0..n {
-                    let li = (self.rr_cursor + k) % n;
-                    if self.launches[li].aborted
-                        || self.launches[li].next_wg
-                            >= u64::from(self.launches[li].launch.launch.grid)
-                        || !launch_allowed_on_core(self.cfg, self.mode, n, li, core_idx)
-                    {
-                        continue;
-                    }
-                    if self.dispatch_wg(core_idx, li) {
-                        self.rr_cursor = (li + 1) % n;
-                        any = true;
-                        break;
-                    }
-                }
-            }
-            if !any {
-                break;
-            }
-        }
-    }
-
-    /// Places the next workgroup of launch `li` on core `core_idx` if it
-    /// fits. Returns whether dispatch happened.
-    fn dispatch_wg(&mut self, core_idx: usize, li: usize) -> bool {
-        if !self.cores[core_idx].fits(self.cfg, &self.launches, li) {
-            return false;
-        }
-        let lstate = &mut self.launches[li];
-        let wg = lstate.next_wg;
-        lstate.next_wg += 1;
-        if lstate.report.start_cycle == 0 && lstate.report.instructions == 0 {
-            lstate.report.start_cycle = self.cycle;
-        }
-        self.emit(core_idx, li, wg, 0, None, TraceKind::Dispatch { wg });
-        let ls = (li, &self.launches[li]);
-        self.cores[core_idx].place_wg(self.cfg, ls, wg, self.cycle, &mut self.age_seq);
-        true
+        let (cores, cycle, age_seq) = (&mut self.cores, self.cycle, &mut self.age_seq);
+        let mode = MultiKernelMode::IntraCore;
+        let rr = &mut self.rr_cursor;
+        dispatch_round_robin(self.cfg, mode, &mut self.launches, rr, |ls, c, li| {
+            cores[c]
+                .dispatch(self.cfg, ls, li, cycle, age_seq)
+                .is_some()
+        });
     }
 
     fn run(&mut self) -> Result<(), RunError> {
@@ -847,9 +786,6 @@ impl<'c, 'v, 'g, 't> RunState<'c, 'v, 'g, 't> {
             self.try_dispatch();
             if self.launches.iter().all(|l| l.finished()) {
                 break;
-            }
-            if self.telemetry.is_some() {
-                self.sample_occupancy();
             }
             let mut any_issue = false;
             for core_idx in 0..self.cores.len() {
@@ -869,9 +805,6 @@ impl<'c, 'v, 'g, 't> RunState<'c, 'v, 'g, 't> {
                             // Nothing issuable: remember exactly when the
                             // next warp wakes so the scans above are skipped
                             // until then.
-                            if let Some(t) = self.telemetry.as_mut() {
-                                t.reg.add(t.no_issue_slots, 1);
-                            }
                             let core = &mut self.cores[core_idx];
                             core.next_ready_at = core.next_ready();
                             break;
@@ -887,43 +820,26 @@ impl<'c, 'v, 'g, 't> RunState<'c, 'v, 'g, 't> {
             } else {
                 self.profile.idle_skips += 1;
                 // Event skip: jump to the next cycle anything becomes ready.
-                let next = self
-                    .cores
-                    .iter()
-                    .flat_map(|c| c.warps.iter())
-                    .filter(|w| {
-                        !w.done
-                            && !w.at_barrier
-                            && !w.blocked
-                            && !self.launches[w.launch_idx].aborted
-                    })
-                    .map(|w| w.ready_at)
-                    .min();
-                match next {
+                // An aborted launch has no resident warps (`abort_launch`
+                // strips them), so every resident warp counts.
+                let next = self.cores.iter().map(Core::next_ready).min();
+                match next.filter(|&n| n != u64::MAX) {
                     // Clamp the skip to the watchdog budget so the error
                     // reports the budget cycle, not a far-future wakeup.
-                    Some(n) => {
-                        let target = n.max(self.cycle + 1).min(self.cfg.max_cycles);
-                        if let Some(t) = self.telemetry.as_mut() {
-                            t.reg.add(t.idle_skip_cycles, target - self.cycle);
-                        }
-                        self.cycle = target;
-                    }
+                    Some(n) => self.cycle = n.max(self.cycle + 1).min(self.cfg.max_cycles),
+                    // Live warps exist but none can ever become ready.
+                    // Distinguish warps parked on the exhausted device heap
+                    // from barrier waits that can never complete (or
+                    // workgroups that remain but made no dispatch progress,
+                    // impossible given the fit pre-check).
                     None => {
-                        // Live warps exist but none can ever become ready.
-                        // Distinguish warps parked on the exhausted device
-                        // heap from barrier waits that can never complete.
-                        let alloc_blocked =
-                            self.cores.iter().flat_map(|c| c.warps.iter()).any(|w| {
-                                !w.done && w.blocked && !self.launches[w.launch_idx].aborted
-                            });
-                        if alloc_blocked {
-                            return Err(RunError::HeapDeadlock { cycle: self.cycle });
-                        }
-                        // Barrier deadlock — or workgroups remain but
-                        // dispatch made no progress (impossible given the
-                        // fit pre-check, but guard against spinning).
-                        return Err(RunError::BarrierDeadlock { cycle: self.cycle });
+                        let mut warps = self.cores.iter().flat_map(|c| &c.warps);
+                        let cycle = self.cycle;
+                        return Err(if warps.any(|w| !w.done && w.blocked) {
+                            RunError::HeapDeadlock { cycle }
+                        } else {
+                            RunError::BarrierDeadlock { cycle }
+                        });
                     }
                 }
             }
@@ -981,10 +897,6 @@ impl<'c, 'v, 'g, 't> RunState<'c, 'v, 'g, 't> {
             let w = &self.cores[core_idx].warps[warp_idx];
             (w.launch_idx, w.wg)
         };
-        {
-            let win = self.cores[core_idx].warps[warp_idx].warp_in_wg;
-            self.emit(core_idx, li, wg, win, None, TraceKind::Retire);
-        }
         // Release peers blocked on a barrier this warp will never reach:
         // a barrier above divergent exits would deadlock; well-formed
         // kernels place barriers in uniform control flow, so the remaining
@@ -1008,10 +920,9 @@ impl<'c, 'v, 'g, 't> RunState<'c, 'v, 'g, 't> {
     }
 
     fn exec_barrier(&mut self, core_idx: usize, warp_idx: usize) {
-        let (li, wg, win) = self.cores[core_idx].arrive_at_barrier(warp_idx, self.cycle);
+        let (li, _, _) = self.cores[core_idx].arrive_at_barrier(warp_idx, self.cycle);
         self.profile.barrier_issues += 1;
         self.launches[li].report.instructions += 1;
-        self.emit(core_idx, li, wg, win, None, TraceKind::Barrier);
     }
 
     fn exec_malloc(
@@ -1127,21 +1038,13 @@ impl<'c, 'v, 'g, 't> RunState<'c, 'v, 'g, 't> {
             let core = &mut self.cores[core_idx];
             scratch.shared(core, warp_idx, self.cycle, self.cfg.timings.l1_hit, &op);
             core.scratch = scratch;
-            let (wg, win) = (core.warps[warp_idx].wg, core.warps[warp_idx].warp_in_wg);
-            let kind = TraceKind::Mem {
-                space: MemSpace::Shared,
-                is_store: op.is_store,
-                transactions: 1,
-                stall: 0,
-            };
-            self.emit(core_idx, li, wg, win, None, kind);
             let report = &mut self.launches[li].report;
             report.instructions += 1;
             report.mem_instructions += 1;
             return;
         }
 
-        // ---- Soundness-audit recording (run_recorded only) ---------------
+        // ---- Soundness-audit recording (range-recording runs only) -------
         // Capture the attempted per-lane extremes *before* any verdict so
         // that a squashed or aborted out-of-bounds access is still visible
         // to the auditor.
@@ -1228,30 +1131,24 @@ impl<'c, 'v, 'g, 't> RunState<'c, 'v, 'g, 't> {
             },
         };
         if let Some(reason) = fault {
-            self.note_flight_abort(core_idx, warp_idx, li, reason);
+            // Recorded while the guilty warp is still resident:
+            // `abort_launch` strips every warp of the launch.
+            if let Some(f) = self.flight.as_mut() {
+                let w = &self.cores[core_idx].warps[warp_idx];
+                let abort = FlightEvent::KernelAbort {
+                    kernel_id: self.launches[li].launch.kernel_id,
+                    wg: w.wg as u32,
+                    warp: w.warp_in_wg as u16,
+                    reason: reason.code(),
+                };
+                f.record(self.cycle, abort);
+            }
             self.cores[core_idx].scratch = scratch;
             self.abort_launch(li, reason);
             return;
         }
 
         // ---- Timing commit ------------------------------------------------
-        {
-            let w = &self.cores[core_idx].warps[warp_idx];
-            let (wgid, win) = (w.wg, w.warp_in_wg);
-            self.emit(
-                core_idx,
-                li,
-                wgid,
-                win,
-                Some(site),
-                TraceKind::Mem {
-                    space: op.space,
-                    is_store: op.is_store,
-                    transactions: scratch.txs.len().min(255) as u8,
-                    stall: stall.min(255) as u8,
-                },
-            );
-        }
         let atomic_serial = if op.is_atomic {
             scratch.active_lanes()
         } else {
@@ -1267,9 +1164,6 @@ impl<'c, 'v, 'g, 't> RunState<'c, 'v, 'g, 't> {
         self.profile.mem_issues += 1;
         self.profile.lsu_transactions += n_txs;
         self.profile.bcu_stall_cycles += stall;
-        if let Some(t) = self.telemetry.as_mut() {
-            t.reg.observe(t.visible_stall, stall);
-        }
         let report = &mut self.launches[li].report;
         report.instructions += 1;
         report.mem_instructions += 1;
@@ -1277,40 +1171,7 @@ impl<'c, 'v, 'g, 't> RunState<'c, 'v, 'g, 't> {
         report.guard_stall_cycles += stall;
     }
 
-    /// Records a `KernelAbort` flight event while the guilty warp is still
-    /// resident — `abort_launch` strips every warp of the launch, so the
-    /// attribution must be captured first.
-    fn note_flight_abort(
-        &mut self,
-        core_idx: usize,
-        warp_idx: usize,
-        li: usize,
-        reason: AbortReason,
-    ) {
-        if self.flight.is_none() {
-            return;
-        }
-        let (wg, win) = {
-            let w = &self.cores[core_idx].warps[warp_idx];
-            (w.wg as u32, w.warp_in_wg as u16)
-        };
-        let kernel_id = self.launches[li].launch.kernel_id;
-        let cycle = self.cycle;
-        if let Some(f) = self.flight.as_mut() {
-            f.record(
-                cycle,
-                FlightEvent::KernelAbort {
-                    kernel_id,
-                    wg,
-                    warp: win,
-                    reason: reason.code(),
-                },
-            );
-        }
-    }
-
     fn abort_launch(&mut self, li: usize, reason: AbortReason) {
-        self.emit(0, li, 0, 0, None, TraceKind::Abort);
         let kernel_id = {
             let lstate = &mut self.launches[li];
             lstate.aborted = true;
@@ -1327,45 +1188,21 @@ impl<'c, 'v, 'g, 't> RunState<'c, 'v, 'g, 't> {
     }
 
     fn into_report(self) -> RunReport {
-        let mut l1d = gpushield_mem::CacheStats::default();
-        let mut l1tlb = gpushield_mem::CacheStats::default();
-        for c in &self.cores {
-            let s = c.l1d.stats();
-            l1d.hits += s.hits;
-            l1d.misses += s.misses;
-            l1d.evictions += s.evictions;
-            let t = c.l1tlb.stats();
-            l1tlb.hits += t.hits;
-            l1tlb.misses += t.misses;
-            l1tlb.evictions += t.evictions;
-        }
-        let dram = self.shared.dram_stats();
-        let mut profile = self.profile;
-        profile.dram_accesses = dram.requests;
-        RunReport {
-            cycles: self.cycle,
-            launches: self
-                .launches
-                .into_iter()
-                .map(|mut l| {
-                    if let Some(obs) = l.observed.take() {
-                        let mut v: Vec<_> = obs
-                            .into_iter()
-                            .map(|(site, (lo, hi))| crate::stats::ObservedRange { site, lo, hi })
-                            .collect();
-                        v.sort_unstable_by_key(|r| r.site);
-                        l.report.observed_ranges = v;
-                    }
-                    l.report
-                })
-                .collect(),
-            l1d,
-            l1_tlb: l1tlb,
-            l2: self.shared.l2_stats(),
-            l2_tlb: self.shared.l2_tlb_stats(),
-            dram,
-            profile,
-        }
+        let l1 = l1_totals(self.cores.iter().map(|c| (c.l1d.stats(), c.l1tlb.stats())));
+        let launches = (self.launches.into_iter())
+            .map(|mut l| {
+                if let Some(obs) = l.observed.take() {
+                    let mut v: Vec<_> = obs
+                        .into_iter()
+                        .map(|(site, (lo, hi))| crate::stats::ObservedRange { site, lo, hi })
+                        .collect();
+                    v.sort_unstable_by_key(|r| r.site);
+                    l.report.observed_ranges = v;
+                }
+                l.report
+            })
+            .collect();
+        run_report(self.cycle, launches, l1, self.shared, self.profile)
     }
 }
 
@@ -1388,7 +1225,7 @@ mod tests {
     }
 
     #[test]
-    fn end_to_end_store_kernel() {
+    fn end_to_end_write_iota_kernel() {
         let mut vm = VirtualMemorySpace::new();
         let buf = vm.alloc(256 * 4, AllocPolicy::Device512).unwrap();
         let mut gpu = Gpu::new(GpuConfig::test_tiny());
@@ -1570,40 +1407,28 @@ mod tests {
         let launch = KernelLaunch::new(write_iota_kernel(), LaunchConfig::new(2, 16))
             .arg(TaggedPtr::unprotected(buf.va).raw());
         let mut trace = crate::trace::Trace::new(10_000);
-        let report = gpu
-            .run_traced(&mut vm, &[launch], None, &mut trace)
-            .unwrap();
+        let hooks = RunHooks {
+            trace: Some(&mut trace),
+            ..RunHooks::default()
+        };
+        let report = gpu.run_with(&mut vm, &[launch], None, hooks).unwrap();
         assert!(report.completed());
         let events = trace.events();
         assert!(!trace.truncated());
+        use crate::trace::TraceKind;
+        let is_dispatch = |k: &TraceKind| matches!(k, TraceKind::Dispatch { .. });
+        let is_mem = |k: &TraceKind| matches!(k, TraceKind::Mem { .. });
+        let count = |f: &dyn Fn(&TraceKind) -> bool| events.iter().filter(|e| f(&e.kind)).count();
         // 2 dispatches, one mem + retire per warp (2 wgs x 4 warps).
-        let dispatches = events
-            .iter()
-            .filter(|e| matches!(e.kind, crate::trace::TraceKind::Dispatch { .. }))
-            .count();
-        let mems = events
-            .iter()
-            .filter(|e| matches!(e.kind, crate::trace::TraceKind::Mem { .. }))
-            .count();
-        let retires = events
-            .iter()
-            .filter(|e| matches!(e.kind, crate::trace::TraceKind::Retire))
-            .count();
-        assert_eq!(dispatches, 2);
-        assert_eq!(mems, 8);
-        assert_eq!(retires, 8);
+        assert_eq!(count(&is_dispatch), 2);
+        assert_eq!(count(&is_mem), 8);
+        assert_eq!(count(&|k| *k == TraceKind::Retire), 8);
         // Cycles are non-decreasing.
         assert!(events.windows(2).all(|w| w[0].cycle <= w[1].cycle));
-        // A workgroup's dispatch precedes all of its events.
-        let first_mem = events
-            .iter()
-            .position(|e| matches!(e.kind, crate::trace::TraceKind::Mem { .. }))
-            .unwrap();
-        let first_dispatch = events
-            .iter()
-            .position(|e| matches!(e.kind, crate::trace::TraceKind::Dispatch { .. }))
-            .unwrap();
-        assert!(first_dispatch < first_mem);
+        // A workgroup's dispatch precedes all of its events (both exist,
+        // per the counts above).
+        let first = |f: &dyn Fn(&TraceKind) -> bool| events.iter().position(|e| f(&e.kind));
+        assert!(first(&is_dispatch) < first(&is_mem));
     }
 
     #[test]
@@ -1623,14 +1448,7 @@ mod tests {
             );
         }
         let mut gpu = Gpu::new(GpuConfig::test_tiny());
-        let mut st = RunState::new(
-            &gpu.cfg,
-            &mut vm,
-            &mut gpu.shared,
-            &launches,
-            MultiKernelMode::IntraCore,
-            None,
-        )?;
+        let mut st = RunState::new(&gpu.cfg, &mut vm, &mut gpu.shared, &launches, None)?;
         let ascending = |st: &RunState| st.cores.iter().all(|c| ages_ascend(&c.warps));
         let (mut retires, mut redispatches) = (0, 0);
         while !st.launches.iter().all(|l| l.finished()) {
@@ -1673,9 +1491,11 @@ mod tests {
             .arg(TaggedPtr::unprotected(b1.va).raw());
         let l2 = KernelLaunch::new(write_iota_kernel(), LaunchConfig::new(16, 16))
             .arg(TaggedPtr::unprotected(b2.va).raw());
-        let report = gpu
-            .run_multi(&mut vm, &[l1, l2], MultiKernelMode::InterCore, None)
-            .unwrap();
+        let hooks = RunHooks {
+            mode: MultiKernelMode::InterCore,
+            ..RunHooks::default()
+        };
+        let report = gpu.run_with(&mut vm, &[l1, l2], None, hooks).unwrap();
         assert!(report.completed());
         assert_eq!(vm.read_uint(b1.va + 4 * 255, 4).unwrap(), 255);
         assert_eq!(vm.read_uint(b2.va + 4 * 255, 4).unwrap(), 255);
@@ -1724,25 +1544,6 @@ mod tests {
             assert_eq!(vm.read_uint(buf.va + i * 4, 4).unwrap(), expect, "lane {i}");
         }
     }
-}
-
-#[cfg(test)]
-mod extra_tests {
-    use super::*;
-    use crate::launch::{KernelLaunch, LaunchConfig};
-    use gpushield_isa::{KernelBuilder, MemWidth, Operand, TaggedPtr};
-    use gpushield_mem::AllocPolicy;
-    use std::sync::Arc;
-
-    fn store_kernel() -> Arc<gpushield_isa::Kernel> {
-        let mut b = KernelBuilder::new("store");
-        let out = b.param_buffer("out", false);
-        let tid = b.global_thread_id();
-        let off = b.shl(tid, Operand::Imm(2));
-        b.st(MemSpace::Global, MemWidth::W4, b.base_offset(out, off), tid);
-        b.ret();
-        Arc::new(b.finish().unwrap())
-    }
 
     #[test]
     fn workgroups_spread_across_cores() {
@@ -1750,12 +1551,14 @@ mod extra_tests {
         let mut vm = VirtualMemorySpace::new();
         let buf = vm.alloc(64 * 4, AllocPolicy::Device512).unwrap();
         let mut gpu = Gpu::new(GpuConfig::test_tiny());
-        let launch = KernelLaunch::new(store_kernel(), LaunchConfig::new(2, 8))
+        let launch = KernelLaunch::new(write_iota_kernel(), LaunchConfig::new(2, 8))
             .arg(TaggedPtr::unprotected(buf.va).raw());
         let mut trace = crate::trace::Trace::new(64);
-        let r = gpu
-            .run_traced(&mut vm, &[launch], None, &mut trace)
-            .unwrap();
+        let hooks = RunHooks {
+            trace: Some(&mut trace),
+            ..RunHooks::default()
+        };
+        let r = gpu.run_with(&mut vm, &[launch], None, hooks).unwrap();
         assert!(r.completed());
         let cores: std::collections::HashSet<usize> = trace
             .events()
@@ -1798,7 +1601,7 @@ mod extra_tests {
         let mut vm = VirtualMemorySpace::new();
         let buf = vm.alloc(512 * 4, AllocPolicy::Device512).unwrap();
         let mut gpu = Gpu::new(GpuConfig::intel());
-        let launch = KernelLaunch::new(store_kernel(), LaunchConfig::new(2, 256))
+        let launch = KernelLaunch::new(write_iota_kernel(), LaunchConfig::new(2, 256))
             .arg(TaggedPtr::unprotected(buf.va).raw());
         let r = gpu.run(&mut vm, &[launch], None).unwrap();
         assert!(r.completed());
@@ -1842,7 +1645,7 @@ mod extra_tests {
         let mut vm = VirtualMemorySpace::new();
         let buf = vm.alloc(64 * 4, AllocPolicy::Device512).unwrap();
         let mut gpu = Gpu::new(GpuConfig::test_tiny());
-        let launch = KernelLaunch::new(store_kernel(), LaunchConfig::new(2, 8))
+        let launch = KernelLaunch::new(write_iota_kernel(), LaunchConfig::new(2, 8))
             .arg(TaggedPtr::unprotected(buf.va).raw());
         let r = gpu.run(&mut vm, &[launch], None).unwrap();
         let l = &r.launches[0];

@@ -8,6 +8,12 @@
 //! FR-FCFS DRAM, and an optional [`MemGuard`] (GPUShield's BCU, or a
 //! software baseline) observes every warp-level memory access.
 //!
+//! [`Gpu::run_with`] is the one entry point; [`RunHooks`] carries its
+//! optional inputs, and [`Gpu::run`], [`Gpu::run_observed`] and
+//! [`Gpu::run_recorded`] are one-line wrappers over it. Runs take the
+//! cycle-quantum engine, except that fault injection and range recording
+//! take the sequential reference engine.
+//!
 //! Two Table 5 presets are provided: [`GpuConfig::nvidia`] (16 SMs, 1024
 //! threads/SM, 32-wide warps) and [`GpuConfig::intel`] (24 cores, 7 HW
 //! threads, 8-wide SIMD).
@@ -56,7 +62,7 @@ mod warp;
 
 pub use config::GpuConfig;
 pub use fault::{FaultKind, FaultPlan, FaultSession, FaultSpec, FaultTargets, InjectionRecord};
-pub use gpu::{Gpu, MultiKernelMode, RunError};
+pub use gpu::{Gpu, MultiKernelMode, RunError, RunHooks};
 pub use guard::{CheckPath, CoreGuard, GuardCheck, GuardVerdict, MemAccess, MemGuard};
 pub use launch::{CheckPlan, HeapDesc, KernelLaunch, LaunchConfig, SiteCheck};
 pub use stats::{

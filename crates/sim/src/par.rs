@@ -38,8 +38,8 @@
 
 use super::lsu::{self, MemOp, Miss};
 use super::{
-    build_launch_states, launch_allowed_on_core, Core, GpuConfig, HeapRun, LaunchState,
-    MultiKernelMode, RunError, TeleCtx,
+    build_launch_states, dispatch_round_robin, l1_totals, run_report, Core, GpuConfig, HeapRun,
+    LaunchState, MultiKernelMode, RunError,
 };
 use crate::guard::{CoreGuard, GuardCheck, GuardVerdict, MemAccess, MemGuard};
 use crate::launch::{KernelLaunch, SiteCheck};
@@ -219,13 +219,22 @@ impl PhaseCheck<'_, '_, '_, '_> {
     }
 }
 
-/// The sequential engine's telemetry hooks plus the parallel-engine
-/// additions: quantum count, worst per-quantum busy-cycle skew between
-/// cores, and per-core busy-cycle gauges. Keyed per *core* (not per
-/// worker) so the published values are independent of how cores were
-/// claimed by threads.
+/// Hot-loop telemetry hooks: the registry plus pre-resolved metric
+/// handles, so instrumented runs record in O(1) and uninstrumented runs
+/// pay exactly one `Option` branch per hook site. The per-core series
+/// (busy-cycle gauges, worst per-quantum busy-cycle skew) are keyed per
+/// *core*, not per worker, so the published values are independent of
+/// how cores were claimed by threads.
 struct ParTele<'t> {
-    base: TeleCtx<'t>,
+    reg: &'t mut Registry,
+    /// Next cycle at or after which the occupancy series sample fires
+    /// (stride-bucket crossing; robust to event-skip cycle jumps).
+    next_sample: u64,
+    resident_warps: MetricId,
+    ready_warps: MetricId,
+    no_issue_slots: MetricId,
+    idle_skip_cycles: MetricId,
+    visible_stall: MetricId,
     quantum_count: MetricId,
     max_skew: MetricId,
     busy: Vec<MetricId>,
@@ -239,7 +248,13 @@ impl<'t> ParTele<'t> {
             .map(|i| reg.gauge(&format!("sim.parallel.cluster.{i}.busy_cycles")))
             .collect();
         ParTele {
-            base: TeleCtx::new(reg),
+            resident_warps: reg.series("sim.series.resident_warps"),
+            ready_warps: reg.series("sim.series.ready_warps"),
+            no_issue_slots: reg.counter("sim.sched.no_issue_slots"),
+            idle_skip_cycles: reg.counter("sim.sched.idle_skip_cycles"),
+            visible_stall: reg.histogram("sim.hist.visible_stall_cycles"),
+            reg,
+            next_sample: 0,
             quantum_count,
             max_skew,
             busy,
@@ -693,10 +708,9 @@ fn exec_mem_phase(
     acc.guard_stall_cycles += stall;
 }
 
-/// Runs `launches` to completion on the cycle-quantum engine. The
-/// entry point behind [`super::Gpu::run`], [`super::Gpu::run_multi`],
-/// [`super::Gpu::run_traced`] and [`super::Gpu::run_instrumented`];
-/// fault-injected and observed-range runs keep the sequential engine.
+/// Runs `launches` to completion on the cycle-quantum engine: the engine
+/// behind [`super::Gpu::run_with`], except for fault-injected and
+/// range-recording runs, which keep the sequential reference engine.
 #[allow(clippy::too_many_arguments)]
 pub(super) fn run_engine(
     cfg: &GpuConfig,
@@ -827,16 +841,24 @@ pub(super) fn run_engine(
             }
             {
                 let mut lw = lock_ok(launches_lk.write());
-                try_dispatch(
-                    cfg,
-                    &slots,
-                    &mut lw,
-                    mode,
-                    cycle,
-                    &mut age_seq,
-                    &mut rr_cursor,
-                    &mut trace,
-                );
+                // Round-robin workgroup dispatch at the quantum boundary.
+                let rr = &mut rr_cursor;
+                dispatch_round_robin(cfg, mode, &mut lw, rr, |lw, core_idx, li| {
+                    let mut slot = lock_ok(slots[core_idx].lock());
+                    let placed = slot.core.dispatch(cfg, lw, li, cycle, &mut age_seq);
+                    if let (Some(wg), Some(t)) = (placed, trace.as_mut()) {
+                        t.push(TraceEvent {
+                            cycle,
+                            core: core_idx,
+                            launch: li,
+                            wg,
+                            warp: 0,
+                            site: None,
+                            kind: TraceKind::Dispatch { wg },
+                        });
+                    }
+                    placed.is_some()
+                });
                 if lw.iter().all(|l| l.finished()) {
                     break;
                 }
@@ -901,8 +923,7 @@ pub(super) fn run_engine(
                         // the budget cycle, not a far-future wakeup.
                         let target = nr.max(t1).min(cfg.max_cycles);
                         if let Some(t) = tele.as_mut() {
-                            let tb = &mut t.base;
-                            tb.reg.add(tb.idle_skip_cycles, target - cycle);
+                            t.reg.add(t.idle_skip_cycles, target - cycle);
                         }
                         cycle = target;
                     }
@@ -923,10 +944,10 @@ pub(super) fn run_engine(
         if let Some(t) = tele.as_mut() {
             let qc = t.quantum_count;
             let ms = t.max_skew;
-            t.base.reg.add(qc, quanta);
-            t.base.reg.set(ms, max_skew);
+            t.reg.add(qc, quanta);
+            t.reg.set(ms, max_skew);
             for (i, id) in t.busy.iter().enumerate() {
-                t.base.reg.set(*id, busy_totals[i]);
+                t.reg.set(*id, busy_totals[i]);
             }
         }
         Ok((final_cycles, profile))
@@ -935,118 +956,18 @@ pub(super) fn run_engine(
     let crew_result = with_crew(workers, work, driver);
 
     let _ = whole; // end the serialized-guard borrow before merging forks
-    let mut l1d = gpushield_mem::CacheStats::default();
-    let mut l1tlb = gpushield_mem::CacheStats::default();
-    for slot in slots {
+    let l1 = l1_totals(slots.into_iter().map(|slot| {
         let s = lock_ok(slot.into_inner());
-        let cs = s.core.l1d.stats();
-        l1d.hits += cs.hits;
-        l1d.misses += cs.misses;
-        l1d.evictions += cs.evictions;
-        let ts = s.core.l1tlb.stats();
-        l1tlb.hits += ts.hits;
-        l1tlb.misses += ts.misses;
-        l1tlb.evictions += ts.evictions;
-    }
+        (s.core.l1d.stats(), s.core.l1tlb.stats())
+    }));
     if let Some(g) = guard {
         g.merge_forked();
     }
-    let (final_cycles, mut profile) = crew_result?;
+    let (final_cycles, profile) = crew_result?;
     let ls = lock_ok(launches_lk.into_inner());
     let _ = shared_lk; // end the shared-system borrow before reading stats
-    let dram = shared.dram_stats();
-    profile.dram_accesses = dram.requests;
-    Ok(RunReport {
-        cycles: final_cycles,
-        launches: ls.into_iter().map(|l| l.report).collect(),
-        l1d,
-        l1_tlb: l1tlb,
-        l2: shared.l2_stats(),
-        l2_tlb: shared.l2_tlb_stats(),
-        dram,
-        profile,
-    })
-}
-
-/// Round-robin workgroup dispatch at a quantum boundary — the sequential
-/// dispatcher verbatim, run serially by the driver thread.
-#[allow(clippy::too_many_arguments)]
-fn try_dispatch(
-    cfg: &GpuConfig,
-    slots: &[Mutex<CoreSlot<'_>>],
-    lw: &mut [LaunchState],
-    mode: MultiKernelMode,
-    cycle: u64,
-    age_seq: &mut u64,
-    rr_cursor: &mut usize,
-    trace: &mut Option<&mut Trace>,
-) {
-    // Fast path: nothing left to place.
-    if lw
-        .iter()
-        .all(|l| l.aborted || l.next_wg >= u64::from(l.launch.launch.grid))
-    {
-        return;
-    }
-    loop {
-        let mut any = false;
-        for core_idx in 0..slots.len() {
-            let nl = lw.len();
-            for k in 0..nl {
-                let li = (*rr_cursor + k) % nl;
-                if lw[li].aborted
-                    || lw[li].next_wg >= u64::from(lw[li].launch.launch.grid)
-                    || !launch_allowed_on_core(cfg, mode, nl, li, core_idx)
-                {
-                    continue;
-                }
-                if dispatch_wg(cfg, slots, lw, cycle, age_seq, trace, core_idx, li) {
-                    *rr_cursor = (li + 1) % nl;
-                    any = true;
-                    break;
-                }
-            }
-        }
-        if !any {
-            break;
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn dispatch_wg(
-    cfg: &GpuConfig,
-    slots: &[Mutex<CoreSlot<'_>>],
-    lw: &mut [LaunchState],
-    cycle: u64,
-    age_seq: &mut u64,
-    trace: &mut Option<&mut Trace>,
-    core_idx: usize,
-    li: usize,
-) -> bool {
-    let mut slot = lock_ok(slots[core_idx].lock());
-    if !slot.core.fits(cfg, lw, li) {
-        return false;
-    }
-    let lstate = &mut lw[li];
-    let wg = lstate.next_wg;
-    lstate.next_wg += 1;
-    if let Some(t) = trace.as_mut() {
-        t.push(TraceEvent {
-            cycle,
-            core: core_idx,
-            launch: li,
-            wg,
-            warp: 0,
-            site: None,
-            kind: TraceKind::Dispatch { wg },
-        });
-    }
-    if lstate.report.start_cycle == 0 && lstate.report.instructions == 0 {
-        lstate.report.start_cycle = cycle;
-    }
-    slot.core.place_wg(cfg, (li, lstate), wg, cycle, age_seq);
-    true
+    let launches = ls.into_iter().map(|l| l.report).collect();
+    Ok(run_report(final_cycles, launches, l1, shared, profile))
 }
 
 /// Stride-bucket occupancy sampling at a quantum boundary (the sequential
@@ -1055,17 +976,16 @@ fn sample_occupancy_par(tele: &mut Option<ParTele<'_>>, cycle: u64, slots: &[Mut
     let Some(t) = tele.as_mut() else {
         return;
     };
-    let tb = &mut t.base;
-    if cycle < tb.next_sample {
+    if cycle < t.next_sample {
         return;
     }
-    let stride = tb.reg.stride();
-    tb.next_sample = (cycle / stride + 1) * stride;
+    let stride = t.reg.stride();
+    t.next_sample = (cycle / stride + 1) * stride;
     let (resident, ready) = (slots.iter())
         .map(|s| lock_ok(s.lock()).core.occupancy(cycle))
         .fold((0, 0), |(a, b), (r, q)| (a + r, b + q));
-    tb.reg.sample(tb.resident_warps, cycle, resident);
-    tb.reg.sample(tb.ready_warps, cycle, ready);
+    t.reg.sample(t.resident_warps, cycle, resident);
+    t.reg.sample(t.ready_warps, cycle, ready);
 }
 
 /// The quantum drain, run serially by the driver thread. Pass 1 collects
@@ -1114,10 +1034,9 @@ fn drain<'w, 'g>(
                 acc.drain_into(&mut lw[li].report);
             }
             if let Some(t) = tele.as_mut() {
-                let tb = &mut t.base;
-                tb.reg.add(tb.no_issue_slots, out.no_issue);
+                t.reg.add(t.no_issue_slots, out.no_issue);
                 for &st in &out.stalls {
-                    tb.reg.observe(tb.visible_stall, st);
+                    t.reg.observe(t.visible_stall, st);
                 }
             }
             out.no_issue = 0;
@@ -1495,9 +1414,8 @@ fn drain_atom<'w, 'g>(
     profile.mem_issues += 1;
     profile.lsu_transactions += n_txs;
     profile.bcu_stall_cycles += stall;
-    if let Some(te) = tele.as_mut() {
-        let tb = &mut te.base;
-        tb.reg.observe(tb.visible_stall, stall);
+    if let Some(t) = tele.as_mut() {
+        t.reg.observe(t.visible_stall, stall);
     }
     let report = &mut lw[li].report;
     report.instructions += 1;

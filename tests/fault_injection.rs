@@ -5,11 +5,14 @@
 //! from a plain launch.
 
 use gpushield::{
-    Arg, DriverConfig, DriverError, FaultKind, FaultPlan, GpuConfig, RunError, System,
-    SystemConfig, SystemError,
+    Arg, DriverConfig, DriverError, FaultKind, FaultPlan, FaultSession, FaultTargets, FlightEvent,
+    FlightRecorder, Gpu, GpuConfig, KernelLaunch, MultiKernelMode, Registry, RunError, RunHooks,
+    RunReport, System, SystemConfig, SystemError, TenantTable, Trace,
 };
-use gpushield_isa::{CmpOp, Kernel, KernelBuilder, MemSpace, MemWidth, Operand};
+use gpushield_isa::{CmpOp, Kernel, KernelBuilder, MemSpace, MemWidth, Operand, TaggedPtr};
+use gpushield_mem::{AllocPolicy, VirtualMemorySpace};
 use gpushield_runtime::pool;
+use gpushield_sim::LaunchConfig;
 use std::sync::Arc;
 
 fn shielded_config() -> SystemConfig {
@@ -173,6 +176,182 @@ fn empty_plan_matches_a_plain_launch() {
         (report.completed(), report.cycles, words)
     };
     assert_eq!(run_plain(false), run_plain(true));
+
+    // One layer down: `Gpu::run_with` given an empty session returns
+    // exactly the report of a plain `Gpu::run`.
+    let gpu_run = |session: Option<&mut FaultSession>| {
+        let mut vm = VirtualMemorySpace::new();
+        let launch = raw_store_launch(&mut vm);
+        let mut gpu = Gpu::new(GpuConfig::test_tiny());
+        let report = match session {
+            Some(s) => {
+                let hooks = RunHooks {
+                    faults: Some(s),
+                    ..RunHooks::default()
+                };
+                gpu.run_with(&mut vm, &[launch], None, hooks)
+            }
+            None => gpu.run(&mut vm, &[launch], None),
+        };
+        format!("{:?}", report.expect("run"))
+    };
+    let mut empty = FaultSession::new(FaultPlan::empty(), FaultTargets::default());
+    assert_eq!(gpu_run(None), gpu_run(Some(&mut empty)));
+}
+
+/// `store_kernel` over a fresh unprotected buffer, launched on a raw GPU.
+fn raw_store_launch(vm: &mut VirtualMemorySpace) -> KernelLaunch {
+    let buf = vm.alloc(128 * 4, AllocPolicy::Device512).expect("alloc");
+    KernelLaunch::new(store_kernel(), LaunchConfig::new(4, 32))
+        .arg(TaggedPtr::unprotected(buf.va).raw())
+}
+
+/// Runs the raw store launch under `hooks`, plus a fault session of
+/// `faults` harmless (guard-less) site-check falsifications when given.
+fn routed_run(faults: Option<usize>, hooks: RunHooks<'_>) -> Result<RunReport, RunError> {
+    let mut vm = VirtualMemorySpace::new();
+    let launch = raw_store_launch(&mut vm);
+    let mut session = faults.map(|n| {
+        let plan = FaultPlan::generate(11, &[FaultKind::SiteCheckFalsify], n, 64);
+        FaultSession::new(plan, FaultTargets::default())
+    });
+    let hooks = RunHooks {
+        faults: session.as_mut(),
+        ..hooks
+    };
+    Gpu::new(GpuConfig::test_tiny()).run_with(&mut vm, &[launch], None, hooks)
+}
+
+/// Which engine `Gpu::run_with` takes for each hook combination. A trace
+/// probe tells the two apart: the cycle-quantum engine honours it, the
+/// reference engine (fault injection, range recording) refuses it with a
+/// typed error. Both honour the flight recorder.
+#[test]
+fn run_with_routes_each_hook_combination_to_one_engine() {
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Engine {
+        Quantum,
+        Reference,
+    }
+    use Engine::{Quantum, Reference};
+    // (faults in the session, record ranges, expected engine)
+    let table = [
+        (None, false, Quantum),
+        (Some(0), false, Quantum),
+        (Some(3), false, Reference),
+        (None, true, Reference),
+        (Some(3), true, Reference),
+    ];
+    for (faults, record_ranges, expect) in table {
+        let row = format!("faults={faults:?} record_ranges={record_ranges}");
+        let mut trace = Trace::new(1 << 12);
+        let probe = RunHooks {
+            trace: Some(&mut trace),
+            record_ranges,
+            ..RunHooks::default()
+        };
+        let engine = match routed_run(faults, probe) {
+            Ok(_) if !trace.events().is_empty() => Quantum,
+            Err(RunError::UnsupportedHook { hook: "trace" }) => Reference,
+            other => panic!("{row}: trace probe gave {other:?}"),
+        };
+        assert_eq!(engine, expect, "{row}");
+
+        let mut flight = FlightRecorder::full();
+        let hooks = RunHooks {
+            flight: Some(&mut flight),
+            record_ranges,
+            ..RunHooks::default()
+        };
+        let report = routed_run(faults, hooks).expect("unprobed run");
+        assert!(report.completed(), "{row}");
+        let complete = |e: &FlightEvent| matches!(e, FlightEvent::KernelComplete { .. });
+        assert!(flight.iter().any(|r| complete(&r.ev)), "{row}: flight");
+        let ranges = &report.launches[0].observed_ranges;
+        assert_eq!(!ranges.is_empty(), record_ranges, "{row}");
+        assert!(ranges.windows(2).all(|w| w[0].site < w[1].site), "{row}");
+
+        if engine == Reference {
+            let mut reg = Registry::new();
+            let registry = RunHooks {
+                registry: Some(&mut reg),
+                record_ranges,
+                ..RunHooks::default()
+            };
+            let intercore = RunHooks {
+                mode: MultiKernelMode::InterCore,
+                record_ranges,
+                ..RunHooks::default()
+            };
+            for (hooks, hook) in [(registry, "registry"), (intercore, "InterCore mode")] {
+                let err = routed_run(faults, hooks).expect_err(&row);
+                assert_eq!(err, RunError::UnsupportedHook { hook }, "{row}");
+            }
+            // A disabled registry records nothing, so the reference
+            // engine serves it.
+            let mut off = Registry::disabled();
+            let disabled = RunHooks {
+                registry: Some(&mut off),
+                record_ranges,
+                ..RunHooks::default()
+            };
+            assert!(routed_run(faults, disabled).is_ok(), "{row}");
+        }
+    }
+}
+
+#[test]
+fn empty_batch_is_a_structured_error_in_gpu_run() {
+    let mut vm = VirtualMemorySpace::new();
+    let mut gpu = Gpu::new(GpuConfig::test_tiny());
+    let err = gpu.run(&mut vm, &[], None).unwrap_err();
+    assert_eq!(err, RunError::NoLaunches);
+}
+
+#[test]
+fn empty_batch_is_a_structured_error_in_gpu_run_observed() {
+    let mut vm = VirtualMemorySpace::new();
+    let mut gpu = Gpu::new(GpuConfig::test_tiny());
+    let mut flight = FlightRecorder::full();
+    let err = gpu.run_observed(&mut vm, &[], None, &mut flight);
+    assert_eq!(err.unwrap_err(), RunError::NoLaunches);
+    assert!(flight.is_empty());
+}
+
+#[test]
+fn empty_batch_is_a_structured_error_in_gpu_run_recorded() {
+    let mut vm = VirtualMemorySpace::new();
+    let mut gpu = Gpu::new(GpuConfig::test_tiny());
+    let err = gpu.run_recorded(&mut vm, &[], None).unwrap_err();
+    assert_eq!(err, RunError::NoLaunches);
+}
+
+#[test]
+fn empty_batch_is_a_structured_error_in_gpu_run_with() {
+    let mut vm = VirtualMemorySpace::new();
+    let mut gpu = Gpu::new(GpuConfig::test_tiny());
+    let mut session = FaultSession::new(FaultPlan::empty(), FaultTargets::default());
+    let hooks = RunHooks {
+        faults: Some(&mut session),
+        ..RunHooks::default()
+    };
+    let err = gpu.run_with(&mut vm, &[], None, hooks).unwrap_err();
+    assert_eq!(err, RunError::NoLaunches);
+}
+
+#[test]
+fn empty_batch_is_a_structured_error_in_launch_concurrent() {
+    let mut sys = System::new(shielded_config());
+    let err = sys.launch_concurrent(vec![], MultiKernelMode::InterCore);
+    assert_eq!(err.unwrap_err(), SystemError::Run(RunError::NoLaunches));
+}
+
+#[test]
+fn empty_batch_is_a_structured_error_in_launch_tenant_concurrent() {
+    let mut sys = System::new(shielded_config());
+    let mut tenants = TenantTable::new(2);
+    let err = sys.launch_tenant_concurrent(&mut tenants, vec![], MultiKernelMode::IntraCore);
+    assert_eq!(err.unwrap_err(), SystemError::Run(RunError::NoLaunches));
 }
 
 #[test]

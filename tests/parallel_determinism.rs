@@ -10,7 +10,10 @@
 //! the park-and-drain paths (device malloc, global atomics) and the
 //! quantum-granular abort path.
 
-use gpushield::{Arg, FaultKind, FaultPlan, Registry, System, SystemConfig};
+use gpushield::{
+    Arg, ConcurrentKernel, FaultKind, FaultPlan, FlightEvent, MultiKernelMode, ObserveMode,
+    Registry, System, SystemConfig, TenantId, TenantTable,
+};
 use gpushield_bench::adapter::SystemHost;
 use gpushield_bench::runner::{config, Protection, Target};
 use gpushield_isa::{Kernel, KernelBuilder, MemSpace, MemWidth, Operand};
@@ -86,6 +89,58 @@ fn abort_cycle_and_violation_log_are_identical_at_every_worker_count() {
     for &n in &WORKER_MATRIX[1..] {
         assert_eq!(base, run(n), "abort drift at sim_threads={n}");
     }
+}
+
+/// Two observed InterCore launches, one through `launch_concurrent` and
+/// one through `launch_tenant_concurrent`, each of two kernels: the engine
+/// records every kernel's completion, and the recorded stream is the same
+/// at every worker count.
+#[test]
+fn observed_intercore_launches_record_each_kernel_at_every_worker_count() {
+    let run = |sim_threads: usize| -> String {
+        let mut sys = protected_system(sim_threads);
+        sys.enable_observation(ObserveMode::Full);
+        let mut tenants = TenantTable::new(2);
+        let mut kernels = || -> Vec<ConcurrentKernel> {
+            (0..2)
+                .map(|_| ConcurrentKernel {
+                    kernel: faulted_store_kernel(),
+                    grid: 8,
+                    block: 32,
+                    args: vec![Arg::Buffer(sys.alloc(8 * 32 * 4).unwrap())],
+                })
+                .collect()
+        };
+        let (plain, tenant) = (kernels(), kernels());
+        let tenant = (0..2).map(TenantId).zip(tenant).collect();
+        let mode = MultiKernelMode::InterCore;
+        let reports = [
+            sys.launch_concurrent(plain, mode).unwrap(),
+            sys.launch_tenant_concurrent(&mut tenants, tenant, mode)
+                .unwrap()
+                .0,
+        ];
+        let flight = sys.flight().unwrap();
+        for r in &reports {
+            assert!(r.completed());
+            for l in &r.launches {
+                let done = FlightEvent::KernelComplete {
+                    kernel_id: l.kernel_id,
+                };
+                assert!(
+                    flight.iter().any(|e| e.ev == done),
+                    "no KernelComplete for kernel {} at sim_threads={sim_threads}",
+                    l.kernel_id
+                );
+            }
+        }
+        format!("{:#?}", flight.iter().collect::<Vec<_>>())
+    };
+    assert_eq!(
+        run(1),
+        run(7),
+        "InterCore flight stream drifts across workers"
+    );
 }
 
 /// Every thread stores its ID; the fault plan corrupts the protection

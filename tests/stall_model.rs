@@ -1,7 +1,7 @@
 //! End-to-end verification of the Fig. 12 stall-visibility rule through
 //! the execution trace: which memory accesses pay a BCU bubble, and when.
 
-use gpushield::{Arg, System, SystemConfig, Trace, TraceKind};
+use gpushield::{Arg, Registry, System, SystemConfig, Trace, TraceKind};
 use gpushield_isa::{Kernel, KernelBuilder, MemSpace, MemWidth, Operand};
 use std::sync::Arc;
 
@@ -42,12 +42,13 @@ fn stalls_under(l1_lat: u64, l2_lat: u64) -> (u64, u64) {
     let buf = sys.alloc(4096).unwrap();
     let mut trace = Trace::new(4096);
     let r = sys
-        .launch_traced(
+        .launch_instrumented(
             repeated_load_kernel(12),
             1,
             32,
             &[Arg::Buffer(buf)],
-            &mut trace,
+            &mut Registry::disabled(),
+            Some(&mut trace),
         )
         .unwrap();
     assert!(r.completed());
@@ -121,7 +122,14 @@ fn multi_transaction_accesses_hide_the_bubble() {
     let buf = sys.alloc(32 * 128 + 4096).unwrap();
     let mut trace = Trace::new(4096);
     let r = sys
-        .launch_traced(k, 1, 32, &[Arg::Buffer(buf)], &mut trace)
+        .launch_instrumented(
+            k,
+            1,
+            32,
+            &[Arg::Buffer(buf)],
+            &mut Registry::disabled(),
+            Some(&mut trace),
+        )
         .unwrap();
     assert!(r.completed());
     for e in trace.events() {
