@@ -1,6 +1,6 @@
 //! Adapter running workload host programs on a [`System`].
 
-use gpushield::{Arg, BufferHandle, MemGuard, Registry, System, SystemConfig, Trace};
+use gpushield::{Arg, BufferHandle, FlightRecorder, MemGuard, Registry, System, SystemConfig};
 use gpushield_isa::Kernel;
 use gpushield_sim::RunReport;
 use gpushield_workloads::{BufId, HostApi, WArg};
@@ -13,7 +13,7 @@ pub struct SystemHost {
     bufs: Vec<BufferHandle>,
     guard: Option<Box<dyn MemGuard>>,
     registry: Option<Registry>,
-    trace: Option<Trace>,
+    flight: Option<FlightRecorder>,
     /// One report per kernel launch, in order.
     pub reports: Vec<RunReport>,
 }
@@ -26,7 +26,7 @@ impl SystemHost {
             bufs: Vec::new(),
             guard: None,
             registry: None,
-            trace: None,
+            flight: None,
             reports: Vec::new(),
         }
     }
@@ -36,12 +36,8 @@ impl SystemHost {
     /// be a shield-off baseline in that case.
     pub fn with_guard(cfg: SystemConfig, guard: Box<dyn MemGuard>) -> Self {
         SystemHost {
-            sys: System::new(cfg),
-            bufs: Vec::new(),
             guard: Some(guard),
-            registry: None,
-            trace: None,
-            reports: Vec::new(),
+            ..SystemHost::new(cfg)
         }
     }
 
@@ -60,17 +56,19 @@ impl SystemHost {
         self.registry.take()
     }
 
-    /// Attaches an execution trace recorder. Only effective together with
-    /// [`SystemHost::attach_registry`]: instrumented launches append their
-    /// events to this trace (subject to its capacity bound).
-    pub fn attach_trace(&mut self, trace: Trace) {
-        self.trace = Some(trace);
+    /// Attaches a flight recorder: every later launch runs through
+    /// [`System::launch_instrumented`] (with a disabled registry when none
+    /// is attached) and records the engine's events into it. A recorder
+    /// built with [`FlightRecorder::with_schedule`] is an execution trace.
+    /// External-guard launches ignore the recorder.
+    pub fn attach_recorder(&mut self, flight: FlightRecorder) {
+        self.flight = Some(flight);
     }
 
-    /// Detaches and returns the trace attached with
-    /// [`SystemHost::attach_trace`], if any.
-    pub fn take_trace(&mut self) -> Option<Trace> {
-        self.trace.take()
+    /// Detaches and returns the recorder attached with
+    /// [`SystemHost::attach_recorder`], if any.
+    pub fn take_recorder(&mut self) -> Option<FlightRecorder> {
+        self.flight.take()
     }
 
     /// Total simulated cycles across all launches (host programs run their
@@ -171,27 +169,22 @@ impl HostApi for SystemHost {
 
     fn launch(&mut self, kernel: &Arc<Kernel>, grid: u32, block: u32, args: &[WArg]) {
         let mapped = self.map_args(args);
+        let (k, flight) = (kernel.clone(), self.flight.as_mut());
         let report = match (self.guard.as_mut(), self.registry.as_mut()) {
             (Some(g), _) => self
                 .sys
-                .launch_with_guard(kernel.clone(), grid, block, &mapped, g.as_mut())
-                .expect("workload launch"),
+                .launch_with_guard(k, grid, block, &mapped, g.as_mut()),
             (None, Some(reg)) => self
                 .sys
-                .launch_instrumented(
-                    kernel.clone(),
-                    grid,
-                    block,
-                    &mapped,
-                    reg,
-                    self.trace.as_mut(),
-                )
-                .expect("workload launch"),
-            (None, None) => self
-                .sys
-                .launch(kernel.clone(), grid, block, &mapped)
-                .expect("workload launch"),
+                .launch_instrumented(k, grid, block, &mapped, reg, flight),
+            (None, None) if flight.is_some() => {
+                let reg = &mut Registry::disabled();
+                self.sys
+                    .launch_instrumented(k, grid, block, &mapped, reg, flight)
+            }
+            (None, None) => self.sys.launch(k, grid, block, &mapped),
         };
+        let report = report.expect("workload launch");
         self.reports.push(report);
     }
 }
@@ -212,5 +205,23 @@ mod tests {
         let mut prot = SystemHost::new(SystemConfig::nvidia_protected());
         w.run(&mut prot);
         assert!(!prot.any_abort(), "no false positives on a benign workload");
+    }
+
+    #[test]
+    fn an_attached_recorder_records_without_a_registry() {
+        let w = by_name("vectoradd").unwrap();
+        let schedule = |registry: Option<Registry>| {
+            let mut host = SystemHost::new(SystemConfig::nvidia_protected());
+            if let Some(reg) = registry {
+                host.attach_registry(reg);
+            }
+            host.attach_recorder(FlightRecorder::with_schedule(1 << 16));
+            w.run(&mut host);
+            let fr = host.take_recorder().expect("recorder attached");
+            gpushield::schedule::render(&fr)
+        };
+        let bare = schedule(None);
+        assert!(bare.contains(" dispatch wg=0\n"), "{bare}");
+        assert_eq!(bare, schedule(Some(Registry::new())));
     }
 }

@@ -20,7 +20,7 @@
 //! appearing or vanishing is a schema change consumers must see, so CI
 //! pins the set against `tests/golden/telemetry_schema.json`.
 
-use gpushield::{Registry, Trace};
+use gpushield::{schedule, FlightRecorder, Registry};
 use gpushield_bench::adapter::SystemHost;
 use gpushield_bench::experiments::by_id;
 use gpushield_bench::runner::{config, Protection, Target};
@@ -29,9 +29,9 @@ use gpushield_runtime::report::Json;
 use gpushield_workloads::by_name;
 use std::process::ExitCode;
 
-/// Trace capacity for `--trace`: large enough for every small workload,
-/// bounded so a long one cannot exhaust memory (the export renders the
-/// cut point when it truncates).
+/// Recorder capacity for `--trace`: large enough for every small
+/// workload, bounded so a long one cannot exhaust memory (the ring keeps
+/// the newest events and the export marks the cut).
 const TRACE_CAPACITY: usize = 200_000;
 
 fn check_schema(fixture_path: &str) -> ExitCode {
@@ -80,8 +80,8 @@ fn check_schema(fixture_path: &str) -> ExitCode {
     ExitCode::FAILURE
 }
 
-/// Runs `name` instrumented + traced and writes a Chrome Trace Event
-/// Format JSON with one launch span per kernel launch.
+/// Runs `name` instrumented + traced and writes a Chrome trace-event
+/// format JSON with one launch span per kernel launch.
 fn trace_workload(name: &str, out: Option<&str>) -> ExitCode {
     let Some(w) = by_name(name) else {
         eprintln!("unknown workload {name}");
@@ -89,10 +89,10 @@ fn trace_workload(name: &str, out: Option<&str>) -> ExitCode {
     };
     let mut host = SystemHost::new(config(Target::Nvidia, Protection::shield_default()));
     host.attach_registry(Registry::new());
-    host.attach_trace(Trace::new(TRACE_CAPACITY));
+    host.attach_recorder(FlightRecorder::with_schedule(TRACE_CAPACITY));
     w.run(&mut host);
-    let trace = host.take_trace().expect("trace attached");
-    let mut chrome = trace.to_chrome();
+    let flight = host.take_recorder().expect("recorder attached");
+    let mut chrome = schedule::to_chrome(&flight);
     // Launch phase spans on a dedicated host lane: every launch restarts
     // the simulated clock, so spans share t=0 and are told apart by tid.
     for (i, r) in host.reports.iter().enumerate() {
@@ -109,10 +109,10 @@ fn trace_workload(name: &str, out: Option<&str>) -> ExitCode {
     }
     let rendered = chrome.render();
     eprintln!(
-        "{name}: {} events ({} trace events, {} dropped), {} launches",
+        "{name}: {} events ({} recorded, {} dropped), {} launches",
         chrome.len(),
-        trace.events().len(),
-        trace.dropped(),
+        flight.events_recorded(),
+        flight.events_dropped(),
         host.reports.len()
     );
     match out {

@@ -49,10 +49,11 @@ pub use gpushield_driver::{
     Arg, BufferHandle, Driver, DriverConfig, DriverError, DriverStats, RegionIdAllocator,
     ShieldSetup, SiteClaim, TenantId, TenantStats, TenantTable,
 };
+pub use gpushield_sim::schedule;
 pub use gpushield_sim::{
     CheckPath, FaultKind, FaultPlan, FaultSession, FaultSpec, FaultTargets, Gpu, GpuConfig,
     InjectionRecord, KernelLaunch, LaunchReport, MemGuard, MultiKernelMode, ObservedRange,
-    RunError, RunHooks, RunReport, StallAttribution, Trace, TraceEvent, TraceKind,
+    RunError, RunHooks, RunReport, StallAttribution,
 };
 pub use gpushield_telemetry::flight::{FlightEvent, FlightRecord, FlightRecorder};
 pub use gpushield_telemetry::{chrome::ChromeTrace, MetricId, Registry};
@@ -238,7 +239,9 @@ struct Batch<'h> {
     faults: Option<FaultPlan>,
     record_ranges: bool,
     registry: Option<&'h mut Registry>,
-    trace: Option<&'h mut Trace>,
+    /// A recorder that takes the engine's events in place of the system's
+    /// own.
+    flight: Option<&'h mut FlightRecorder>,
 }
 
 /// What a batch produced.
@@ -507,14 +510,17 @@ impl System {
 
         let logged_before = self.violations().len();
         let mut session = batch.faults.map(|plan| FaultSession::new(plan, targets));
-        // Audited and instrumented runs keep the recorder off the engine
-        // (the openmetrics golden pins the instrumented event counts); their
-        // launch preparation is still recorded.
+        // Audited and instrumented runs keep the system's recorder off the
+        // engine (the openmetrics golden pins the instrumented event
+        // counts); their launch preparation is still recorded. An
+        // instrumented run may bring a recorder of its own.
         let engine_flight = !batch.record_ranges && batch.registry.is_none();
+        let flight = batch
+            .flight
+            .or_else(|| self.flight.as_mut().filter(|_| engine_flight));
         let hooks = RunHooks {
             mode: batch.mode,
-            flight: self.flight.as_mut().filter(|_| engine_flight),
-            trace: batch.trace,
+            flight,
             registry: batch.registry.as_deref_mut(),
             faults: session.as_mut(),
             record_ranges: batch.record_ranges,
@@ -708,10 +714,12 @@ impl System {
     /// Launches one kernel with full telemetry: scheduler occupancy series,
     /// stall-attribution counters, cache/TLB/DRAM statistics and driver
     /// metadata-cost gauges are published into `registry`, and the
-    /// execution is optionally recorded into `trace` (see [`Trace`]) for
-    /// Chrome export. With a [`Registry::disabled`] registry the run
-    /// behaves exactly like [`System::launch`] apart from one branch per
-    /// scheduler slot.
+    /// engine's events are optionally recorded into `flight` in place of
+    /// the system's own recorder. A recorder built with
+    /// [`FlightRecorder::with_schedule`] is the execution trace that
+    /// [`schedule::to_chrome`] exports. With a [`Registry::disabled`]
+    /// registry the run behaves exactly like [`System::launch`] apart from
+    /// one branch per scheduler slot.
     ///
     /// # Errors
     ///
@@ -723,12 +731,12 @@ impl System {
         block: u32,
         args: &[Arg],
         registry: &mut Registry,
-        trace: Option<&mut Trace>,
+        flight: Option<&mut FlightRecorder>,
     ) -> Result<RunReport, SystemError> {
         let job = Job::new(kernel, grid, block, args);
         let batch = Batch {
             registry: Some(registry),
-            trace,
+            flight,
             ..Batch::default()
         };
         Ok(self.run_batch([job], batch)?.report)

@@ -7,7 +7,6 @@ use crate::fault::{self, FaultKind, FaultSession};
 use crate::guard::{GuardVerdict, MemGuard};
 use crate::launch::{KernelLaunch, SiteCheck};
 use crate::stats::{self, AbortReason, LaunchReport, RunReport, SimProfile};
-use crate::trace::Trace;
 use crate::warp::{ExecCtx, SimpleOutcome, Warp};
 use gpushield_isa::{Instr, MemSpace, ReconvergenceTable, TaggedPtr};
 use gpushield_mem::{Cache, CacheStats, Replacement, SharedMemorySystem, Tlb, VirtualMemorySpace};
@@ -83,7 +82,8 @@ pub enum RunError {
     /// The reference engine, which fault-injected and range-recording
     /// runs take, was asked for a hook it cannot serve.
     UnsupportedHook {
-        /// The hook: `"trace"`, `"registry"` or `"InterCore mode"`.
+        /// The hook: `"schedule"` (a recorder that keeps the scheduling
+        /// kinds), `"registry"` or `"InterCore mode"`.
         hook: &'static str,
     },
 }
@@ -568,7 +568,7 @@ impl Gpu {
     /// The run takes the cycle-quantum engine unless `hooks` carries a
     /// non-empty fault session or asks for range recording; those take
     /// the sequential reference engine, which serves the flight recorder
-    /// but not a trace, an enabled registry or
+    /// but not its scheduling kinds, an enabled registry or
     /// [`MultiKernelMode::InterCore`].
     ///
     /// # Errors
@@ -588,7 +588,6 @@ impl Gpu {
         let RunHooks {
             mode,
             flight,
-            trace,
             mut registry,
             faults,
             record_ranges,
@@ -598,8 +597,8 @@ impl Gpu {
         }
         let faults = faults.filter(|s| !s.is_empty());
         let report = if faults.is_some() || record_ranges {
-            let unsupported = if trace.is_some() {
-                Some("trace")
+            let unsupported = if flight.as_ref().is_some_and(|f| f.records_schedule()) {
+                Some("schedule")
             } else if registry.as_ref().is_some_and(|r| r.enabled()) {
                 Some("registry")
             } else if mode == MultiKernelMode::InterCore {
@@ -631,7 +630,6 @@ impl Gpu {
                 launches,
                 mode,
                 guard,
-                trace,
                 tele,
                 flight,
             )?
@@ -651,13 +649,12 @@ pub struct RunHooks<'h> {
     /// How concurrent launches share the cores (§6.2).
     pub mode: MultiKernelMode,
     /// Records structured flight events (kernel lifecycle, check
-    /// verdicts, aborts, watchdog trips, injected faults). Events are
-    /// buffered per core and drained in canonical `(cycle, core, seq)`
-    /// order, so the stream is identical for every `sim_threads` setting.
+    /// verdicts, aborts, watchdog trips, injected faults), plus dispatch,
+    /// memory-issue, barrier and retire events when the recorder was built
+    /// with `FlightRecorder::with_schedule`. Events are buffered per core
+    /// and drained in canonical `(cycle, core, seq)` order, so the stream
+    /// is identical for every `sim_threads` setting.
     pub flight: Option<&'h mut FlightRecorder>,
-    /// Records dispatch/memory/barrier/retire events, bounded by the
-    /// trace's capacity.
-    pub trace: Option<&'h mut Trace>,
     /// Publishes the full telemetry of the run: scheduler counters and
     /// stride-sampled occupancy series while running, then launch totals,
     /// per-path stall attribution (`sim.stall.*`), the hot-path profile
@@ -1399,36 +1396,65 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn trace_records_lifecycle_in_order() {
+    /// Runs an iota launch on a tiny GPU with a recorder of `capacity`
+    /// events that keeps the scheduling kinds.
+    fn iota_schedule(grid: u32, block: u32, capacity: usize) -> FlightRecorder {
         let mut vm = VirtualMemorySpace::new();
         let buf = vm.alloc(256 * 4, AllocPolicy::Device512).unwrap();
-        let mut gpu = Gpu::new(GpuConfig::test_tiny());
-        let launch = KernelLaunch::new(write_iota_kernel(), LaunchConfig::new(2, 16))
+        let launch = KernelLaunch::new(write_iota_kernel(), LaunchConfig::new(grid, block))
             .arg(TaggedPtr::unprotected(buf.va).raw());
-        let mut trace = crate::trace::Trace::new(10_000);
+        let mut fr = FlightRecorder::with_schedule(capacity);
         let hooks = RunHooks {
-            trace: Some(&mut trace),
+            flight: Some(&mut fr),
             ..RunHooks::default()
         };
+        let mut gpu = Gpu::new(GpuConfig::test_tiny());
         let report = gpu.run_with(&mut vm, &[launch], None, hooks).unwrap();
         assert!(report.completed());
-        let events = trace.events();
-        assert!(!trace.truncated());
-        use crate::trace::TraceKind;
-        let is_dispatch = |k: &TraceKind| matches!(k, TraceKind::Dispatch { .. });
-        let is_mem = |k: &TraceKind| matches!(k, TraceKind::Mem { .. });
-        let count = |f: &dyn Fn(&TraceKind) -> bool| events.iter().filter(|e| f(&e.kind)).count();
+        fr
+    }
+
+    #[test]
+    fn schedule_records_lifecycle_in_order() {
+        let fr = iota_schedule(2, 16, 10_000);
+        assert_eq!(fr.events_dropped(), 0);
+        let events: Vec<FlightEvent> = fr.iter().map(|r| r.ev).collect();
+        let is_dispatch = |e: &FlightEvent| matches!(e, FlightEvent::WgDispatch { .. });
+        let is_mem = |e: &FlightEvent| matches!(e, FlightEvent::MemIssue { .. });
+        let is_retire = |e: &FlightEvent| matches!(e, FlightEvent::WarpRetire { .. });
+        let count = |f: &dyn Fn(&FlightEvent) -> bool| events.iter().filter(|e| f(e)).count();
         // 2 dispatches, one mem + retire per warp (2 wgs x 4 warps).
         assert_eq!(count(&is_dispatch), 2);
         assert_eq!(count(&is_mem), 8);
-        assert_eq!(count(&|k| *k == TraceKind::Retire), 8);
+        assert_eq!(count(&is_retire), 8);
         // Cycles are non-decreasing.
-        assert!(events.windows(2).all(|w| w[0].cycle <= w[1].cycle));
+        assert!(fr.iter().zip(fr.iter().skip(1)).all(|(a, b)| a.t <= b.t));
         // A workgroup's dispatch precedes all of its events (both exist,
         // per the counts above).
-        let first = |f: &dyn Fn(&TraceKind) -> bool| events.iter().position(|e| f(&e.kind));
+        let first = |f: &dyn Fn(&FlightEvent) -> bool| events.iter().position(f);
         assert!(first(&is_dispatch) < first(&is_mem));
+        // The lifecycle kinds share the stream: completion comes last.
+        let complete = FlightEvent::KernelComplete { kernel_id: 0 };
+        assert_eq!(events.last(), Some(&complete));
+    }
+
+    #[test]
+    fn a_short_recorder_keeps_the_newest_schedule_events() {
+        let whole = iota_schedule(16, 16, 10_000);
+        let (n, cap) = (whole.len(), 16);
+        assert!(n > cap && whole.events_dropped() == 0);
+        let tail = iota_schedule(16, 16, cap);
+        assert_eq!(tail.events_dropped(), (n - cap) as u64);
+        let newest: Vec<_> = whole.iter().skip(n - cap).copied().collect();
+        assert_eq!(tail.iter().copied().collect::<Vec<_>>(), newest);
+        let chrome = crate::schedule::to_chrome(&tail);
+        let cuts: Vec<_> = (chrome.events.iter())
+            .filter(|e| e.name == "trace-truncated")
+            .collect();
+        assert_eq!(cuts.len(), 1);
+        assert_eq!(cuts[0].args, [("dropped".into(), (n - cap).to_string())]);
+        let cut = format!(" trace-truncated dropped={}\n", n - cap);
+        assert!(crate::schedule::render(&tail).contains(&cut));
     }
 
     #[test]
@@ -1548,23 +1574,12 @@ mod tests {
     #[test]
     fn workgroups_spread_across_cores() {
         // 2 small workgroups on a 2-core GPU must land on different cores.
-        let mut vm = VirtualMemorySpace::new();
-        let buf = vm.alloc(64 * 4, AllocPolicy::Device512).unwrap();
-        let mut gpu = Gpu::new(GpuConfig::test_tiny());
-        let launch = KernelLaunch::new(write_iota_kernel(), LaunchConfig::new(2, 8))
-            .arg(TaggedPtr::unprotected(buf.va).raw());
-        let mut trace = crate::trace::Trace::new(64);
-        let hooks = RunHooks {
-            trace: Some(&mut trace),
-            ..RunHooks::default()
-        };
-        let r = gpu.run_with(&mut vm, &[launch], None, hooks).unwrap();
-        assert!(r.completed());
-        let cores: std::collections::HashSet<usize> = trace
-            .events()
-            .iter()
-            .filter(|e| matches!(e.kind, crate::trace::TraceKind::Dispatch { .. }))
-            .map(|e| e.core)
+        let fr = iota_schedule(2, 8, 64);
+        let cores: std::collections::HashSet<u16> = (fr.iter())
+            .filter_map(|r| match r.ev {
+                FlightEvent::WgDispatch { core, .. } => Some(core),
+                _ => None,
+            })
             .collect();
         assert_eq!(cores.len(), 2, "round-robin dispatch");
     }

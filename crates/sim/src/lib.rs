@@ -14,6 +14,12 @@
 //! cycle-quantum engine, except that fault injection and range recording
 //! take the sequential reference engine.
 //!
+//! The engine has one event stream, the flight recorder in
+//! [`RunHooks::flight`]. A recorder built with
+//! `FlightRecorder::with_schedule` also receives the scheduling events
+//! (dispatch, memory issue, barrier, retire), and [`schedule`] renders
+//! them as a Chrome trace or a text log.
+//!
 //! Two Table 5 presets are provided: [`GpuConfig::nvidia`] (16 SMs, 1024
 //! threads/SM, 32-wide warps) and [`GpuConfig::intel`] (24 cores, 7 HW
 //! threads, 8-wide SIMD).
@@ -56,8 +62,8 @@ mod fault;
 mod gpu;
 mod guard;
 mod launch;
+pub mod schedule;
 mod stats;
-mod trace;
 mod warp;
 
 pub use config::GpuConfig;
@@ -69,4 +75,3 @@ pub use stats::{
     publish_run_report, AbortReason, LaunchReport, ObservedRange, RunReport, SimProfile,
     StallAttribution,
 };
-pub use trace::{Trace, TraceEvent, TraceKind};

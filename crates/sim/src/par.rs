@@ -7,8 +7,8 @@
 //! system: per-core L1/L1-TLB state mutates live (it is core-private),
 //! while L2/L2-TLB hits are *predicted* with side-effect-free probes and
 //! DRAM timing with a private per-core [`DramView`]. Every side effect
-//! that crosses core boundaries (L2/DRAM state, trace records, launch
-//! counters, aborts) is buffered in a per-core outbox with a `(cycle,
+//! that crosses core boundaries (L2/DRAM state, flight-recorder events,
+//! launch counters, aborts) is buffered in a per-core outbox with a `(cycle,
 //! core, seq)` key.
 //!
 //! At the quantum barrier the driver thread *drains* the outboxes: it
@@ -43,9 +43,9 @@ use super::{
 };
 use crate::guard::{CoreGuard, GuardCheck, GuardVerdict, MemAccess, MemGuard};
 use crate::launch::{KernelLaunch, SiteCheck};
+use crate::schedule::space_code;
 use crate::stats::{AbortReason, LaunchReport, RunReport, SimProfile, StallAttribution};
-use crate::trace::{Trace, TraceEvent, TraceKind};
-use crate::warp::SimpleOutcome;
+use crate::warp::{SimpleOutcome, Warp};
 use gpushield_isa::{BlockId, Instr, MemSpace, Operand, VReg};
 use gpushield_mem::{DramView, SharedMemorySystem, VirtualMemorySpace};
 use gpushield_runtime::with_crew;
@@ -124,19 +124,20 @@ enum Ev {
     /// A workgroup of launch `li` fully retired on its core.
     Retired { li: u32 },
     /// The launch must abort (bounds violation or translation fault).
-    /// Carries the guilty warp's identity for the flight recorder — the
-    /// warp itself is stripped by the time the drain applies the abort.
-    Abort {
-        li: u32,
-        wg: u64,
-        win: u32,
-        reason: AbortReason,
-    },
-    /// A buffered trace record.
-    Trace(TraceEvent),
+    Abort(AbortReq),
     /// A buffered flight-recorder event, replayed into the recorder in
     /// canonical order so the stream is identical for every worker count.
     Flight(FlightEvent),
+}
+
+/// What the phase functions buffer for the flight recorder: nothing,
+/// check verdicts, or check verdicts plus the scheduling kinds (for a
+/// recorder built with [`FlightRecorder::with_schedule`]).
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Obs {
+    Off,
+    Checks,
+    Schedule,
 }
 
 /// A drained event: [`QEv`] plus its core, forming the canonical sort key
@@ -268,32 +269,33 @@ fn push_ev(out: &mut Outbox, t: u64, ev: Ev) {
     out.evs.push(QEv { t, seq, ev });
 }
 
-#[allow(clippy::too_many_arguments)]
-fn push_trace(
-    out: &mut Outbox,
-    want_trace: bool,
-    t: u64,
+/// Buffers the scheduling event `ev()` when the recorder keeps them.
+fn push_sched(out: &mut Outbox, obs: Obs, t: u64, ev: impl FnOnce() -> FlightEvent) {
+    if obs == Obs::Schedule {
+        push_ev(out, t, Ev::Flight(ev()));
+    }
+}
+
+/// The scheduling event of warp `w` on core `core` issuing a memory
+/// instruction.
+fn mem_issue(
     core: usize,
-    li: usize,
-    wg: u64,
-    warp: usize,
+    w: &Warp,
+    space: MemSpace,
+    is_store: bool,
+    transactions: usize,
+    stall: u64,
     site: Option<(BlockId, usize)>,
-    kind: TraceKind,
-) {
-    if want_trace {
-        push_ev(
-            out,
-            t,
-            Ev::Trace(TraceEvent {
-                cycle: t,
-                core,
-                launch: li,
-                wg,
-                warp,
-                site,
-                kind,
-            }),
-        );
+) -> FlightEvent {
+    FlightEvent::MemIssue {
+        core: core as u16,
+        wg: w.wg as u32,
+        warp: w.warp_in_wg as u16,
+        space: space_code(space),
+        is_store,
+        transactions: transactions.min(255) as u8,
+        stall: stall.min(255) as u8,
+        site: site.map(|(b, i)| (b.0, i as u32)),
     }
 }
 
@@ -338,8 +340,7 @@ fn advance_core(
     shared: &SharedMemorySystem,
     vm: &VirtualMemorySpace,
     core_idx: usize,
-    want_trace: bool,
-    want_flight: bool,
+    obs: Obs,
 ) {
     if out.accs.len() != launches.len() {
         out.accs.resize_with(launches.len(), LaunchAcc::default);
@@ -359,18 +360,7 @@ fn advance_core(
                 Some(wi) => {
                     core.last_issued = Some(wi);
                     exec_warp_phase(
-                        cfg,
-                        t,
-                        core,
-                        out,
-                        check,
-                        dram_view,
-                        launches,
-                        shared,
-                        vm,
-                        core_idx,
-                        want_trace,
-                        want_flight,
+                        cfg, t, core, out, check, dram_view, launches, shared, vm, core_idx, obs,
                         wi,
                     );
                     out.issued += 1;
@@ -422,15 +412,16 @@ fn freeze_abort(
         w.ready_at = u64::MAX;
         (w.wg, w.warp_in_wg as u32)
     };
+    let li = li as u32;
     push_ev(
         out,
         t,
-        Ev::Abort {
-            li: li as u32,
+        Ev::Abort(AbortReq {
+            li,
             wg,
             win,
             reason,
-        },
+        }),
     );
 }
 
@@ -446,8 +437,7 @@ fn exec_warp_phase(
     shared: &SharedMemorySystem,
     vm: &VirtualMemorySpace,
     core_idx: usize,
-    want_trace: bool,
-    want_flight: bool,
+    obs: Obs,
     wi: usize,
 ) {
     let li = core.warps[wi].launch_idx;
@@ -464,7 +454,7 @@ fn exec_warp_phase(
         SimpleOutcome::Retired => {
             out.profile.alu_issues += 1;
             out.accs[li].instructions += 1;
-            retire_warp_phase(cfg, t, core, out, launches, core_idx, want_trace, wi);
+            retire_warp_phase(cfg, t, core, out, launches, core_idx, obs, wi);
         }
         SimpleOutcome::NeedsCore => {
             let pc = core.warps[wi].pc().expect("NeedsCore implies a live pc");
@@ -474,28 +464,17 @@ fn exec_warp_phase(
                     let (li, wg, win) = core.arrive_at_barrier(wi, t);
                     out.profile.barrier_issues += 1;
                     out.accs[li].instructions += 1;
-                    let kind = TraceKind::Barrier;
-                    push_trace(out, want_trace, t, core_idx, li, wg, win, None, kind);
+                    push_sched(out, obs, t, || FlightEvent::BarrierArrive {
+                        core: core_idx as u16,
+                        wg: wg as u32,
+                        warp: win as u16,
+                    });
                 }
                 Instr::Malloc { .. } | Instr::Free { .. } => park_warp(out, t, core, wi),
                 Instr::Ld { .. } | Instr::St { .. } | Instr::AtomAdd { .. } => {
                     exec_mem_phase(
-                        cfg,
-                        t,
-                        core,
-                        out,
-                        check,
-                        dram_view,
-                        launches,
-                        shared,
-                        vm,
-                        core_idx,
-                        want_trace,
-                        want_flight,
-                        wi,
-                        li,
-                        pc,
-                        instr,
+                        cfg, t, core, out, check, dram_view, launches, shared, vm, core_idx, obs,
+                        wi, li, pc, instr,
                     );
                 }
                 _ => unreachable!("exec_simple handles all other instructions"),
@@ -512,24 +491,18 @@ fn retire_warp_phase(
     out: &mut Outbox,
     launches: &[LaunchState],
     core_idx: usize,
-    want_trace: bool,
+    obs: Obs,
     wi: usize,
 ) {
     let (li, wg, win) = {
         let w = &core.warps[wi];
         (w.launch_idx, w.wg, w.warp_in_wg)
     };
-    push_trace(
-        out,
-        want_trace,
-        t,
-        core_idx,
-        li,
-        wg,
-        win,
-        None,
-        TraceKind::Retire,
-    );
+    push_sched(out, obs, t, || FlightEvent::WarpRetire {
+        core: core_idx as u16,
+        wg: wg as u32,
+        warp: win as u16,
+    });
     core.release_barrier(li, wg, t);
     if core.retire_wg_if_done(li, wg, launches[li].regs_per_wg(cfg)) {
         push_ev(out, t, Ev::Retired { li: li as u32 });
@@ -552,8 +525,7 @@ fn exec_mem_phase(
     shared: &SharedMemorySystem,
     vm: &VirtualMemorySpace,
     core_idx: usize,
-    want_trace: bool,
-    want_flight: bool,
+    obs: Obs,
     wi: usize,
     li: usize,
     site: (BlockId, usize),
@@ -573,24 +545,10 @@ fn exec_mem_phase(
         out.profile.shared_issues += 1;
         scratch.shared(core, wi, t, cfg.timings.l1_hit, &op);
         core.scratch = scratch;
-        let kind = TraceKind::Mem {
-            space: MemSpace::Shared,
-            is_store: op.is_store,
-            transactions: 1,
-            stall: 0,
-        };
         let w = &core.warps[wi];
-        push_trace(
-            out,
-            want_trace,
-            t,
-            core_idx,
-            li,
-            w.wg,
-            w.warp_in_wg,
-            None,
-            kind,
-        );
+        push_sched(out, obs, t, || {
+            mem_issue(core_idx, w, MemSpace::Shared, op.is_store, 1, 0, None)
+        });
         let acc = &mut out.accs[li];
         acc.instructions += 1;
         acc.mem_instructions += 1;
@@ -639,7 +597,7 @@ fn exec_mem_phase(
             acc.checks_performed += 1;
             acc.stall_attribution.record(chk.path, chk.stall_cycles);
             out.profile.bcu_checks += 1;
-            if want_flight {
+            if obs != Obs::Off {
                 let ev = lsu::verdict_event(&access, &core.warps[wi], &chk);
                 push_ev(out, t, Ev::Flight(ev));
             }
@@ -672,25 +630,10 @@ fn exec_mem_phase(
     }
 
     // ---- Timing commit --------------------------------------------------
-    {
-        let w = &core.warps[wi];
-        push_trace(
-            out,
-            want_trace,
-            t,
-            core_idx,
-            li,
-            w.wg,
-            w.warp_in_wg,
-            Some(site),
-            TraceKind::Mem {
-                space: op.space,
-                is_store: op.is_store,
-                transactions: scratch.txs.len().min(255) as u8,
-                stall: stall.min(255) as u8,
-            },
-        );
-    }
+    push_sched(out, obs, t, || {
+        let (w, n) = (&core.warps[wi], scratch.txs.len());
+        mem_issue(core_idx, w, op.space, op.is_store, n, stall, Some(site))
+    });
     let n_txs = scratch.txs.len() as u64;
     core.lsu_busy_until = start + n_txs + stall;
     let warp = &mut core.warps[wi];
@@ -719,7 +662,6 @@ pub(super) fn run_engine(
     launches: &[KernelLaunch],
     mode: MultiKernelMode,
     mut guard: Option<&mut dyn MemGuard>,
-    trace: Option<&mut Trace>,
     registry: Option<&mut Registry>,
     flight: Option<&mut FlightRecorder>,
 ) -> Result<RunReport, RunError> {
@@ -768,8 +710,11 @@ pub(super) fn run_engine(
     let t0a = AtomicU64::new(0);
     let t1a = AtomicU64::new(0);
     let claim = AtomicUsize::new(0);
-    let want_trace = trace.is_some();
-    let want_flight = flight.is_some();
+    let obs = match flight.as_deref() {
+        None => Obs::Off,
+        Some(f) if f.records_schedule() => Obs::Schedule,
+        Some(_) => Obs::Checks,
+    };
 
     let work = |_w: usize| {
         let t0 = t0a.load(Ordering::Relaxed);
@@ -794,19 +739,7 @@ pub(super) fn run_engine(
                 (None, None) => PhaseCheck::None,
             };
             advance_core(
-                cfg,
-                t0,
-                t1,
-                core,
-                out,
-                &mut check,
-                dram_view,
-                &lr,
-                &sr,
-                vm,
-                i,
-                want_trace,
-                want_flight,
+                cfg, t0, t1, core, out, &mut check, dram_view, &lr, &sr, vm, i, obs,
             );
         }
     };
@@ -815,25 +748,24 @@ pub(super) fn run_engine(
         let mut cycle: u64 = 0;
         let mut age_seq: u64 = 0;
         let mut rr_cursor: usize = 0;
-        let mut profile = SimProfile::default();
-        let mut heaps: HashMap<u64, HeapRun> = HashMap::new();
-        let mut keys: Vec<DrainKey> = Vec::with_capacity(n * QUANTUM as usize * 4);
         let mut quanta: u64 = 0;
-        let mut busy_totals = vec![0u64; n];
-        let mut max_skew: u64 = 0;
-        let mut tele = registry.map(|reg| ParTele::new(reg, n));
-        let mut trace = trace;
-        let mut flight = flight;
+        let mut d = Drainer {
+            cfg,
+            slots: &slots,
+            vm,
+            whole: &whole,
+            heaps: HashMap::new(),
+            profile: SimProfile::default(),
+            tele: registry.map(|reg| ParTele::new(reg, n)),
+            flight,
+            keys: Vec::with_capacity(n * QUANTUM as usize * 4),
+            busy_totals: vec![0; n],
+            max_skew: 0,
+        };
         loop {
             if cycle >= cfg.max_cycles {
-                if let Some(f) = flight.as_mut() {
-                    f.record(
-                        cycle,
-                        FlightEvent::WatchdogTrip {
-                            budget: cfg.max_cycles,
-                        },
-                    );
-                }
+                let budget = cfg.max_cycles;
+                d.record(cycle, FlightEvent::WatchdogTrip { budget });
                 return Err(RunError::CycleBudgetExceeded {
                     cycle,
                     budget: cfg.max_cycles,
@@ -846,16 +778,9 @@ pub(super) fn run_engine(
                 dispatch_round_robin(cfg, mode, &mut lw, rr, |lw, core_idx, li| {
                     let mut slot = lock_ok(slots[core_idx].lock());
                     let placed = slot.core.dispatch(cfg, lw, li, cycle, &mut age_seq);
-                    if let (Some(wg), Some(t)) = (placed, trace.as_mut()) {
-                        t.push(TraceEvent {
-                            cycle,
-                            core: core_idx,
-                            launch: li,
-                            wg,
-                            warp: 0,
-                            site: None,
-                            kind: TraceKind::Dispatch { wg },
-                        });
+                    if let Some(wg) = placed {
+                        let (core, wg) = (core_idx as u16, wg as u32);
+                        d.record(cycle, FlightEvent::WgDispatch { core, wg });
                     }
                     placed.is_some()
                 });
@@ -863,36 +788,21 @@ pub(super) fn run_engine(
                     break;
                 }
             }
-            sample_occupancy_par(&mut tele, cycle, &slots);
+            sample_occupancy_par(&mut d.tele, cycle, &slots);
             let t1 = cycle.saturating_add(QUANTUM).min(cfg.max_cycles);
             t0a.store(cycle, Ordering::Relaxed);
             t1a.store(t1, Ordering::Relaxed);
             claim.store(0, Ordering::Relaxed);
             ctl.round();
             quanta += 1;
-            let issued = drain(
-                cfg,
-                &slots,
-                &launches_lk,
-                &shared_lk,
-                vm,
-                &whole,
-                &mut heaps,
-                &mut profile,
-                &mut trace,
-                &mut tele,
-                &mut keys,
-                &mut busy_totals,
-                &mut max_skew,
-                &mut flight,
-            )?;
+            let issued = d.drain(&launches_lk, &shared_lk)?;
             if lock_ok(launches_lk.read()).iter().all(|l| l.finished()) {
                 break;
             }
             if issued > 0 {
                 cycle = t1;
             } else {
-                profile.idle_skips += 1;
+                d.profile.idle_skips += 1;
                 // Event skip: jump to the next cycle anything becomes ready.
                 // Blocked warps (exhausted heap) never wake; warps at a
                 // barrier wake only through peers, which issue first.
@@ -922,7 +832,7 @@ pub(super) fn run_engine(
                         // Clamp to the watchdog budget so the error reports
                         // the budget cycle, not a far-future wakeup.
                         let target = nr.max(t1).min(cfg.max_cycles);
-                        if let Some(t) = tele.as_mut() {
+                        if let Some(t) = d.tele.as_mut() {
                             t.reg.add(t.idle_skip_cycles, target - cycle);
                         }
                         cycle = target;
@@ -941,16 +851,16 @@ pub(super) fn run_engine(
             .map(|l| l.report.end_cycle)
             .max()
             .unwrap_or(0);
-        if let Some(t) = tele.as_mut() {
+        if let Some(t) = d.tele.as_mut() {
             let qc = t.quantum_count;
             let ms = t.max_skew;
             t.reg.add(qc, quanta);
-            t.reg.set(ms, max_skew);
+            t.reg.set(ms, d.max_skew);
             for (i, id) in t.busy.iter().enumerate() {
-                t.reg.set(*id, busy_totals[i]);
+                t.reg.set(*id, d.busy_totals[i]);
             }
         }
-        Ok((final_cycles, profile))
+        Ok((final_cycles, d.profile))
     };
 
     let crew_result = with_crew(workers, work, driver);
@@ -988,510 +898,404 @@ fn sample_occupancy_par(tele: &mut Option<ParTele<'_>>, cycle: u64, slots: &[Mut
     t.reg.sample(t.ready_warps, cycle, ready);
 }
 
-/// The quantum drain, run serially by the driver thread. Pass 1 collects
-/// every outbox (counters merge in core order; events gain their core in
-/// the sort key); pass 2 replays the events against the real shared
-/// system in canonical `(t, core, seq)` order; pass 3 refreshes each
-/// core's private DRAM timing view from the post-drain channel state.
-/// Returns the number of instructions issued across the quantum.
-#[allow(clippy::too_many_arguments)]
-fn drain<'w, 'g>(
-    cfg: &GpuConfig,
-    slots: &[Mutex<CoreSlot<'_>>],
-    launches_lk: &RwLock<Vec<LaunchState>>,
-    shared_lk: &RwLock<&mut SharedMemorySystem>,
-    vm: &VirtualMemorySpace,
-    whole: &Option<Mutex<&'w mut (dyn MemGuard + 'g)>>,
-    heaps: &mut HashMap<u64, HeapRun>,
-    profile: &mut SimProfile,
-    trace: &mut Option<&mut Trace>,
-    tele: &mut Option<ParTele<'_>>,
-    keys: &mut Vec<DrainKey>,
-    busy_totals: &mut [u64],
-    max_skew: &mut u64,
-    flight: &mut Option<&mut FlightRecorder>,
-) -> Result<u64, RunError> {
-    keys.clear();
-    let mut issued_total = 0u64;
-    let (mut busy_min, mut busy_max) = (u64::MAX, 0u64);
-    {
-        let mut lw = lock_ok(launches_lk.write());
-        for (ci, slot) in slots.iter().enumerate() {
-            let mut s = lock_ok(slot.lock());
-            let out = &mut s.out;
-            for q in out.evs.drain(..) {
-                keys.push(DrainKey {
-                    t: q.t,
-                    core: ci as u32,
-                    seq: q.seq,
-                    ev: q.ev,
-                });
-            }
-            out.seq = 0;
-            profile.merge(&out.profile);
-            out.profile = SimProfile::default();
-            for (li, acc) in out.accs.iter_mut().enumerate() {
-                acc.drain_into(&mut lw[li].report);
-            }
-            if let Some(t) = tele.as_mut() {
-                t.reg.add(t.no_issue_slots, out.no_issue);
-                for &st in &out.stalls {
-                    t.reg.observe(t.visible_stall, st);
-                }
-            }
-            out.no_issue = 0;
-            out.stalls.clear();
-            issued_total += out.issued;
-            busy_totals[ci] += out.busy;
-            busy_min = busy_min.min(out.busy);
-            busy_max = busy_max.max(out.busy);
-            out.issued = 0;
-            out.busy = 0;
+/// The driver thread's drain state for one run: the cores and the
+/// unforked guard the drain acts on, the device heaps, the run's profile
+/// and observers, the reusable sort buffer and the per-core busy totals.
+struct Drainer<'a, 's, 'w, 'g, 'o> {
+    cfg: &'a GpuConfig,
+    slots: &'a [Mutex<CoreSlot<'s>>],
+    vm: &'a VirtualMemorySpace,
+    whole: &'a Option<Mutex<&'w mut (dyn MemGuard + 'g)>>,
+    heaps: HashMap<u64, HeapRun>,
+    profile: SimProfile,
+    tele: Option<ParTele<'o>>,
+    flight: Option<&'o mut FlightRecorder>,
+    keys: Vec<DrainKey>,
+    busy_totals: Vec<u64>,
+    max_skew: u64,
+}
+
+/// A launch abort: the launch and the guilty warp's identity, which the
+/// flight recorder attributes it to (the warp itself is stripped by the
+/// time the drain applies the abort).
+#[derive(Clone, Copy)]
+struct AbortReq {
+    li: u32,
+    wg: u64,
+    win: u32,
+    reason: AbortReason,
+}
+
+impl Drainer<'_, '_, '_, '_, '_> {
+    /// Records `ev` at cycle `t` when a flight recorder is attached.
+    fn record(&mut self, t: u64, ev: FlightEvent) {
+        if let Some(f) = self.flight.as_mut() {
+            f.record(t, ev);
         }
     }
-    if busy_max > busy_min {
-        *max_skew = (*max_skew).max(busy_max - busy_min);
-    }
-    keys.sort_unstable_by_key(|k| (k.t, k.core, k.seq));
 
-    {
-        let mut lw = lock_ok(launches_lk.write());
-        let mut sw = lock_ok(shared_lk.write());
-        let shared: &mut SharedMemorySystem = &mut sw;
-        for k in keys.iter() {
-            match k.ev {
-                Ev::Data(pa) => {
-                    shared.access_data(pa, k.t);
+    /// The quantum drain. Pass 1 collects every outbox (counters merge in
+    /// core order; events gain their core in the sort key); pass 2 replays
+    /// the events against the real shared system in canonical `(t, core,
+    /// seq)` order; pass 3 refreshes each core's private DRAM timing view
+    /// from the post-drain channel state. Returns the number of
+    /// instructions issued across the quantum.
+    fn drain(
+        &mut self,
+        launches_lk: &RwLock<Vec<LaunchState>>,
+        shared_lk: &RwLock<&mut SharedMemorySystem>,
+    ) -> Result<u64, RunError> {
+        let mut keys = std::mem::take(&mut self.keys);
+        keys.clear();
+        let mut issued_total = 0u64;
+        let (mut busy_min, mut busy_max) = (u64::MAX, 0u64);
+        {
+            let mut lw = lock_ok(launches_lk.write());
+            for (ci, slot) in self.slots.iter().enumerate() {
+                let mut s = lock_ok(slot.lock());
+                let out = &mut s.out;
+                for q in out.evs.drain(..) {
+                    keys.push(DrainKey {
+                        t: q.t,
+                        core: ci as u32,
+                        seq: q.seq,
+                        ev: q.ev,
+                    });
                 }
-                Ev::Xlate(va) => {
-                    shared.translate(va, k.t);
+                out.seq = 0;
+                self.profile.merge(&out.profile);
+                out.profile = SimProfile::default();
+                for (li, acc) in out.accs.iter_mut().enumerate() {
+                    acc.drain_into(&mut lw[li].report);
                 }
-                Ev::Trace(ev) => {
-                    if let Some(t) = trace.as_mut() {
-                        t.push(ev);
+                if let Some(t) = self.tele.as_mut() {
+                    t.reg.add(t.no_issue_slots, out.no_issue);
+                    for &st in &out.stalls {
+                        t.reg.observe(t.visible_stall, st);
                     }
                 }
-                Ev::Flight(fe) => {
-                    if let Some(f) = flight.as_mut() {
-                        f.record(k.t, fe);
+                out.no_issue = 0;
+                out.stalls.clear();
+                issued_total += out.issued;
+                self.busy_totals[ci] += out.busy;
+                busy_min = busy_min.min(out.busy);
+                busy_max = busy_max.max(out.busy);
+                out.issued = 0;
+                out.busy = 0;
+            }
+        }
+        if busy_max > busy_min {
+            self.max_skew = self.max_skew.max(busy_max - busy_min);
+        }
+        keys.sort_unstable_by_key(|k| (k.t, k.core, k.seq));
+
+        {
+            let mut lw = lock_ok(launches_lk.write());
+            let mut sw = lock_ok(shared_lk.write());
+            let shared: &mut SharedMemorySystem = &mut sw;
+            for k in &keys {
+                match k.ev {
+                    Ev::Data(pa) => {
+                        shared.access_data(pa, k.t);
                     }
-                }
-                Ev::Retired { li } => {
-                    let li = li as usize;
-                    let lstate = &mut lw[li];
-                    lstate.wgs_retired += 1;
-                    if lstate.finished() {
-                        lstate.report.end_cycle = k.t;
-                        let kid = lstate.launch.kernel_id;
-                        if let Some(f) = flight.as_mut() {
-                            f.record(k.t, FlightEvent::KernelComplete { kernel_id: kid });
+                    Ev::Xlate(va) => {
+                        shared.translate(va, k.t);
+                    }
+                    Ev::Flight(fe) => self.record(k.t, fe),
+                    Ev::Retired { li } => {
+                        let lstate = &mut lw[li as usize];
+                        lstate.wgs_retired += 1;
+                        if lstate.finished() {
+                            lstate.report.end_cycle = k.t;
+                            let kernel_id = lstate.launch.kernel_id;
+                            self.record(k.t, FlightEvent::KernelComplete { kernel_id });
+                            self.kernel_end(kernel_id);
                         }
-                        guard_kernel_end(slots, whole, kid);
                     }
-                }
-                Ev::Abort {
-                    li,
-                    wg,
-                    win,
-                    reason,
-                } => {
-                    let li = li as usize;
-                    if !lw[li].aborted {
-                        apply_abort(
-                            slots,
-                            &mut lw,
-                            trace,
-                            whole,
-                            flight,
-                            li,
-                            wg,
-                            win as usize,
-                            reason,
-                            k.t,
-                        );
-                    }
-                }
-                Ev::Parked { li, wg, win } => {
-                    let pending = drain_parked(
-                        cfg,
-                        slots,
-                        &mut lw,
-                        shared,
-                        vm,
-                        whole,
-                        heaps,
-                        profile,
-                        trace,
-                        tele,
-                        flight,
-                        k.t,
-                        k.core as usize,
-                        li as usize,
-                        wg,
-                        win as usize,
-                    )?;
-                    if let Some(req) = pending {
-                        if !lw[req.li].aborted {
-                            apply_abort(
-                                slots, &mut lw, trace, whole, flight, req.li, req.wg, req.win,
-                                req.reason, k.t,
-                            );
+                    Ev::Abort(req) => self.abort(&mut lw, req, k.t),
+                    Ev::Parked { li, wg, win } => {
+                        let (ci, li, win) = (k.core as usize, li as usize, win as usize);
+                        if let Some(req) = self.parked(&mut lw, shared, k.t, ci, li, wg, win)? {
+                            self.abort(&mut lw, req, k.t);
                         }
                     }
                 }
             }
         }
-    }
+        self.keys = keys;
 
-    {
         let sr = lock_ok(shared_lk.read());
-        for slot in slots {
+        for slot in self.slots {
             let mut s = lock_ok(slot.lock());
             sr.dram().refresh_view(&mut s.dram_view);
         }
+        Ok(issued_total)
     }
-    Ok(issued_total)
-}
 
-/// A launch abort requested from inside a drain handler, applied after
-/// the slot lock drops. Carries the guilty warp's identity so the flight
-/// recorder can attribute the abort.
-struct AbortReq {
-    li: usize,
-    wg: u64,
-    win: usize,
-    reason: AbortReason,
-}
-
-/// Executes a parked serialized operation at the drain. The warp is
-/// re-found by its stable `(launch, wg, warp-in-wg)` identity (indices
-/// shift when workgroups retire); a missing warp means its launch aborted
-/// earlier in canonical order and the park is moot. Returns a pending
-/// abort request to apply after the slot lock drops.
-#[allow(clippy::too_many_arguments)]
-fn drain_parked<'w, 'g>(
-    cfg: &GpuConfig,
-    slots: &[Mutex<CoreSlot<'_>>],
-    lw: &mut [LaunchState],
-    shared: &mut SharedMemorySystem,
-    vm: &VirtualMemorySpace,
-    whole: &Option<Mutex<&'w mut (dyn MemGuard + 'g)>>,
-    heaps: &mut HashMap<u64, HeapRun>,
-    profile: &mut SimProfile,
-    trace: &mut Option<&mut Trace>,
-    tele: &mut Option<ParTele<'_>>,
-    flight: &mut Option<&mut FlightRecorder>,
-    t: u64,
-    ci: usize,
-    li: usize,
-    wg: u64,
-    win: usize,
-) -> Result<Option<AbortReq>, RunError> {
-    let mut slot = lock_ok(slots[ci].lock());
-    let sl = &mut *slot;
-    let Some(wi) = sl
-        .core
-        .warps
-        .iter()
-        .position(|w| w.launch_idx == li && w.wg == wg && w.warp_in_wg == win && !w.done)
-    else {
-        return Ok(None);
-    };
-    let Some(pc) = sl.core.warps[wi].pc() else {
-        return Ok(None);
-    };
-    let instr = lw[li].launch.kernel.block(pc.0).instrs()[pc.1];
-    match instr {
-        Instr::Malloc { dst, size } => {
-            drain_malloc(cfg, sl, lw, heaps, profile, t, wi, li, Some(dst), size)?;
-            Ok(None)
-        }
-        Instr::Free { .. } => {
-            drain_malloc(
-                cfg,
-                sl,
-                lw,
-                heaps,
-                profile,
-                t,
-                wi,
-                li,
-                None,
-                Operand::Imm(0),
-            )?;
-            Ok(None)
-        }
-        Instr::AtomAdd { .. } => Ok(drain_atom(
-            cfg, sl, lw, shared, vm, whole, profile, trace, tele, flight, t, ci, wi, li, pc, instr,
-        )),
-        _ => unreachable!("only malloc/free/global atomics park"),
-    }
-}
-
-/// Device-heap `malloc`/`free` at the drain: the sequential allocator
-/// semantics at the park's issue cycle, against the (driver-owned) global
-/// heap cursor map.
-#[allow(clippy::too_many_arguments)]
-fn drain_malloc(
-    cfg: &GpuConfig,
-    sl: &mut CoreSlot<'_>,
-    lw: &mut [LaunchState],
-    heaps: &mut HashMap<u64, HeapRun>,
-    profile: &mut SimProfile,
-    t: u64,
-    wi: usize,
-    li: usize,
-    dst: Option<VReg>,
-    size: Operand,
-) -> Result<(), RunError> {
-    let heap = match lw[li].launch.heap {
-        Some(h) => h,
-        None => {
-            return Err(RunError::NoHeap {
-                kernel: lw[li].launch.kernel.name().to_string(),
-            })
-        }
-    };
-    lw[li].report.instructions += 1;
-    profile.malloc_issues += 1;
-    let core = &mut sl.core;
-    let warp = &mut core.warps[wi];
-    let entry = heaps.entry(heap.tagged_base.va()).or_default();
-    let ctx = lw[li].ctx();
-    match core
-        .scratch
-        .heap(cfg, warp, &ctx, heap, entry, t, dst, size)
-    {
-        Some(done_at) => {
-            warp.ready_at = done_at;
-            warp.advance_pc();
-            core.next_ready_at = core.next_ready_at.min(done_at);
-        }
-        None => {
-            warp.blocked = true;
-            warp.ready_at = t;
-        }
-    }
-    Ok(())
-}
-
-/// A global-memory atomic at the drain: the sequential LSU/BCU pipeline
-/// verbatim at the park's issue cycle, against the *real* shared memory
-/// system — canonical order makes the read-modify-write sequence and its
-/// timing identical for every worker count.
-#[allow(clippy::too_many_arguments)]
-fn drain_atom<'w, 'g>(
-    cfg: &GpuConfig,
-    sl: &mut CoreSlot<'_>,
-    lw: &mut [LaunchState],
-    shared: &mut SharedMemorySystem,
-    vm: &VirtualMemorySpace,
-    whole: &Option<Mutex<&'w mut (dyn MemGuard + 'g)>>,
-    profile: &mut SimProfile,
-    trace: &mut Option<&mut Trace>,
-    tele: &mut Option<ParTele<'_>>,
-    flight: &mut Option<&mut FlightRecorder>,
-    t: u64,
-    ci: usize,
-    wi: usize,
-    li: usize,
-    site: (BlockId, usize),
-    instr: Instr,
-) -> Option<AbortReq> {
-    let op = MemOp::decode(instr);
-    let CoreSlot { core, shard, .. } = sl;
-    let (wgid, winid) = {
-        let w = &core.warps[wi];
-        (w.wg, w.warp_in_wg)
-    };
-    let abort = |reason| {
-        Some(AbortReq {
-            li,
-            wg: wgid,
-            win: winid,
-            reason,
-        })
-    };
-
-    // ---- AGU + translate + real shared-system timing --------------------
-    // (global-space path; shared atomics never park)
-    let mut scratch = std::mem::take(&mut core.scratch);
-    let ptr = scratch.agu(&core.warps[wi], &op, &lw[li].ctx());
-    let translation_fault = scratch.translate(vm, op.width);
-    let start = t.max(core.lsu_busy_until);
-    let (done_at, all_l1_hit) =
-        scratch.timing(core, vm, start, cfg.timings.l1_hit, |miss, at| match miss {
-            Miss::Xlate(va) => shared.translate(va, at),
-            Miss::Data(pa) => shared.access_data(pa, at),
-        });
-
-    // ---- Bounds check ----------------------------------------------------
-    let ls = &mut lw[li];
-    let decision = ls.launch.plan.get(site);
-    let mut stall = 0u64;
-    let mut verdict = GuardVerdict::Allow;
-    if shard.is_some() || whole.is_some() {
-        if decision == SiteCheck::Static {
-            ls.report.checks_skipped += 1;
-            if ls.launch.plan.certified(site) {
-                ls.report.checks_certified += 1;
+    /// Executes a parked serialized operation at the drain. The warp is
+    /// re-found by its stable `(launch, wg, warp-in-wg)` identity (indices
+    /// shift when workgroups retire); a missing warp means its launch
+    /// aborted earlier in canonical order and the park is moot. Returns a
+    /// pending abort to apply after the slot lock drops.
+    #[allow(clippy::too_many_arguments)]
+    fn parked(
+        &mut self,
+        lw: &mut [LaunchState],
+        shared: &mut SharedMemorySystem,
+        t: u64,
+        ci: usize,
+        li: usize,
+        wg: u64,
+        win: usize,
+    ) -> Result<Option<AbortReq>, RunError> {
+        let slots = self.slots;
+        let mut slot = lock_ok(slots[ci].lock());
+        let sl = &mut *slot;
+        let Some(wi) = sl
+            .core
+            .warps
+            .iter()
+            .position(|w| w.launch_idx == li && w.wg == wg && w.warp_in_wg == win && !w.done)
+        else {
+            return Ok(None);
+        };
+        let Some(pc) = sl.core.warps[wi].pc() else {
+            return Ok(None);
+        };
+        let instr = lw[li].launch.kernel.block(pc.0).instrs()[pc.1];
+        match instr {
+            Instr::Malloc { dst, size } => self
+                .malloc(sl, lw, t, wi, li, Some(dst), size)
+                .map(|()| None),
+            Instr::Free { .. } => {
+                let size = Operand::Imm(0);
+                self.malloc(sl, lw, t, wi, li, None, size).map(|()| None)
             }
-        } else if let Some(access) = scratch.access(
-            ci,
-            ls.launch.kernel_id,
-            &op,
-            ptr,
-            site,
-            decision,
-            all_l1_hit,
-        ) {
-            let chk = match (shard.as_deref_mut(), whole.as_ref()) {
-                (Some(s), _) => s.check(&access, vm),
-                (None, Some(m)) => lock_ok(m.lock()).check(&access, vm),
-                (None, None) => GuardCheck::allow_free(),
-            };
-            stall = chk.stall_cycles;
-            verdict = chk.verdict;
-            profile.bcu_checks += 1;
-            ls.report.checks_performed += 1;
-            ls.report
-                .stall_attribution
-                .record(chk.path, chk.stall_cycles);
-            if let Some(f) = flight.as_mut() {
-                f.record(t, lsu::verdict_event(&access, &core.warps[wi], &chk));
+            Instr::AtomAdd { .. } => Ok(self.atom(sl, lw, shared, t, ci, wi, li, pc, instr)),
+            _ => unreachable!("only malloc/free/global atomics park"),
+        }
+    }
+
+    /// Device-heap `malloc`/`free` at the drain: the sequential allocator
+    /// semantics at the park's issue cycle, against the (driver-owned)
+    /// global heap cursor map.
+    #[allow(clippy::too_many_arguments)]
+    fn malloc(
+        &mut self,
+        sl: &mut CoreSlot<'_>,
+        lw: &mut [LaunchState],
+        t: u64,
+        wi: usize,
+        li: usize,
+        dst: Option<VReg>,
+        size: Operand,
+    ) -> Result<(), RunError> {
+        let heap = match lw[li].launch.heap {
+            Some(h) => h,
+            None => {
+                return Err(RunError::NoHeap {
+                    kernel: lw[li].launch.kernel.name().to_string(),
+                })
+            }
+        };
+        lw[li].report.instructions += 1;
+        self.profile.malloc_issues += 1;
+        let core = &mut sl.core;
+        let warp = &mut core.warps[wi];
+        let entry = self.heaps.entry(heap.tagged_base.va()).or_default();
+        let ctx = lw[li].ctx();
+        match core
+            .scratch
+            .heap(self.cfg, warp, &ctx, heap, entry, t, dst, size)
+        {
+            Some(done_at) => {
+                warp.ready_at = done_at;
+                warp.advance_pc();
+                core.next_ready_at = core.next_ready_at.min(done_at);
+            }
+            None => {
+                warp.blocked = true;
+                warp.ready_at = t;
             }
         }
+        Ok(())
     }
 
-    // ---- Outcome ---------------------------------------------------------
-    let fault = match verdict {
-        GuardVerdict::Fault => Some(AbortReason::BoundsViolation),
-        GuardVerdict::Squash => {
-            ls.report.violations_squashed += 1;
-            lsu::squash(&mut core.warps[wi], &op);
-            None
+    /// A global-memory atomic at the drain: the sequential LSU/BCU
+    /// pipeline verbatim at the park's issue cycle, against the *real*
+    /// shared memory system — canonical order makes the read-modify-write
+    /// sequence and its timing identical for every worker count.
+    #[allow(clippy::too_many_arguments)]
+    fn atom(
+        &mut self,
+        sl: &mut CoreSlot<'_>,
+        lw: &mut [LaunchState],
+        shared: &mut SharedMemorySystem,
+        t: u64,
+        ci: usize,
+        wi: usize,
+        li: usize,
+        site: (BlockId, usize),
+        instr: Instr,
+    ) -> Option<AbortReq> {
+        let (cfg, vm, whole) = (self.cfg, self.vm, self.whole);
+        let op = MemOp::decode(instr);
+        let CoreSlot { core, shard, .. } = sl;
+
+        // ---- AGU + translate + real shared-system timing ----------------
+        // (global-space path; shared atomics never park)
+        let mut scratch = std::mem::take(&mut core.scratch);
+        let ptr = scratch.agu(&core.warps[wi], &op, &lw[li].ctx());
+        let translation_fault = scratch.translate(vm, op.width);
+        let start = t.max(core.lsu_busy_until);
+        let (done_at, all_l1_hit) =
+            scratch.timing(core, vm, start, cfg.timings.l1_hit, |miss, at| match miss {
+                Miss::Xlate(va) => shared.translate(va, at),
+                Miss::Data(pa) => shared.access_data(pa, at),
+            });
+
+        // ---- Bounds check ------------------------------------------------
+        let ls = &mut lw[li];
+        let decision = ls.launch.plan.get(site);
+        let mut stall = 0u64;
+        let mut verdict = GuardVerdict::Allow;
+        if shard.is_some() || whole.is_some() {
+            if decision == SiteCheck::Static {
+                ls.report.checks_skipped += 1;
+                if ls.launch.plan.certified(site) {
+                    ls.report.checks_certified += 1;
+                }
+            } else if let Some(access) = scratch.access(
+                ci,
+                ls.launch.kernel_id,
+                &op,
+                ptr,
+                site,
+                decision,
+                all_l1_hit,
+            ) {
+                let chk = match (shard.as_deref_mut(), whole.as_ref()) {
+                    (Some(s), _) => s.check(&access, vm),
+                    (None, Some(m)) => lock_ok(m.lock()).check(&access, vm),
+                    (None, None) => GuardCheck::allow_free(),
+                };
+                stall = chk.stall_cycles;
+                verdict = chk.verdict;
+                self.profile.bcu_checks += 1;
+                ls.report.checks_performed += 1;
+                ls.report
+                    .stall_attribution
+                    .record(chk.path, chk.stall_cycles);
+                self.record(t, lsu::verdict_event(&access, &core.warps[wi], &chk));
+            }
         }
-        // As in the load/store path: a commit fault is a lane straddling
-        // into an unmapped page — the typed abort, never a panic.
-        GuardVerdict::Allow => match translation_fault {
-            Some(f) => Some(AbortReason::MemFault(f)),
-            None => scratch
-                .commit(&mut core.warps[wi], &op, vm)
-                .err()
-                .map(AbortReason::MemFault),
-        },
-    };
-    if let Some(reason) = fault {
-        core.scratch = scratch;
-        return abort(reason);
-    }
 
-    // ---- Timing commit ---------------------------------------------------
-    if let Some(tr) = trace.as_mut() {
-        tr.push(TraceEvent {
-            cycle: t,
-            core: ci,
-            launch: li,
-            wg: wgid,
-            warp: winid,
-            site: Some(site),
-            kind: TraceKind::Mem {
-                space: op.space,
-                is_store: true,
-                transactions: scratch.txs.len().min(255) as u8,
-                stall: stall.min(255) as u8,
+        // ---- Outcome -----------------------------------------------------
+        let fault = match verdict {
+            GuardVerdict::Fault => Some(AbortReason::BoundsViolation),
+            GuardVerdict::Squash => {
+                ls.report.violations_squashed += 1;
+                lsu::squash(&mut core.warps[wi], &op);
+                None
+            }
+            // As in the load/store path: a commit fault is a lane
+            // straddling into an unmapped page — the typed abort, never a
+            // panic.
+            GuardVerdict::Allow => match translation_fault {
+                Some(f) => Some(AbortReason::MemFault(f)),
+                None => scratch
+                    .commit(&mut core.warps[wi], &op, vm)
+                    .err()
+                    .map(AbortReason::MemFault),
             },
-        });
-    }
-    let atomic_serial = scratch.active_lanes();
-    let n_txs = scratch.txs.len() as u64;
-    core.lsu_busy_until = start + n_txs + stall + atomic_serial;
-    let warp = &mut core.warps[wi];
-    warp.ready_at = done_at + stall + atomic_serial;
-    warp.advance_pc();
-    core.next_ready_at = core.next_ready_at.min(done_at + stall + atomic_serial);
-    core.scratch = scratch;
-    profile.mem_issues += 1;
-    profile.lsu_transactions += n_txs;
-    profile.bcu_stall_cycles += stall;
-    if let Some(t) = tele.as_mut() {
-        t.reg.observe(t.visible_stall, stall);
-    }
-    let report = &mut lw[li].report;
-    report.instructions += 1;
-    report.mem_instructions += 1;
-    report.transactions += n_txs;
-    report.guard_stall_cycles += stall;
-    None
-}
+        };
+        if let Some(reason) = fault {
+            core.scratch = scratch;
+            let w = &core.warps[wi];
+            let (li, win) = (li as u32, w.warp_in_wg as u32);
+            return Some(AbortReq {
+                li,
+                wg: w.wg,
+                win,
+                reason,
+            });
+        }
 
-/// Strips an aborting launch from the whole machine at the drain — the
-/// sequential `abort_launch` semantics at the abort's issue cycle. Only
-/// the canonically-first abort event per launch gets here.
-#[allow(clippy::too_many_arguments)]
-fn apply_abort<'w, 'g>(
-    slots: &[Mutex<CoreSlot<'_>>],
-    lw: &mut [LaunchState],
-    trace: &mut Option<&mut Trace>,
-    whole: &Option<Mutex<&'w mut (dyn MemGuard + 'g)>>,
-    flight: &mut Option<&mut FlightRecorder>,
-    li: usize,
-    wg: u64,
-    win: usize,
-    reason: AbortReason,
-    t: u64,
-) {
-    if let Some(tr) = trace.as_mut() {
-        tr.push(TraceEvent {
-            cycle: t,
-            core: 0,
-            launch: li,
-            wg: 0,
-            warp: 0,
-            site: None,
-            kind: TraceKind::Abort,
-        });
+        // ---- Timing commit -----------------------------------------------
+        let (w, n) = (&core.warps[wi], scratch.txs.len());
+        self.record(t, mem_issue(ci, w, op.space, true, n, stall, Some(site)));
+        let atomic_serial = scratch.active_lanes();
+        let n_txs = scratch.txs.len() as u64;
+        core.lsu_busy_until = start + n_txs + stall + atomic_serial;
+        let warp = &mut core.warps[wi];
+        warp.ready_at = done_at + stall + atomic_serial;
+        warp.advance_pc();
+        core.next_ready_at = core.next_ready_at.min(done_at + stall + atomic_serial);
+        core.scratch = scratch;
+        self.profile.mem_issues += 1;
+        self.profile.lsu_transactions += n_txs;
+        self.profile.bcu_stall_cycles += stall;
+        if let Some(t) = self.tele.as_mut() {
+            t.reg.observe(t.visible_stall, stall);
+        }
+        let report = &mut lw[li].report;
+        report.instructions += 1;
+        report.mem_instructions += 1;
+        report.transactions += n_txs;
+        report.guard_stall_cycles += stall;
+        None
     }
-    let kernel_id = {
+
+    /// Strips an aborting launch from the whole machine at the drain —
+    /// the sequential `abort_launch` semantics at the abort's issue cycle.
+    /// Only the canonically-first abort per launch takes effect.
+    fn abort(&mut self, lw: &mut [LaunchState], req: AbortReq, t: u64) {
+        let li = req.li as usize;
         let lstate = &mut lw[li];
+        if lstate.aborted {
+            return;
+        }
         lstate.aborted = true;
-        lstate.report.abort = Some(reason);
+        lstate.report.abort = Some(req.reason);
         lstate.report.end_cycle = t;
-        lstate.launch.kernel_id
-    };
-    if let Some(f) = flight.as_mut() {
-        f.record(
+        let kernel_id = lstate.launch.kernel_id;
+        let (wg, warp, reason) = (req.wg as u32, req.win as u16, req.reason.code());
+        self.record(
             t,
             FlightEvent::KernelAbort {
                 kernel_id,
-                wg: wg as u32,
-                warp: win as u16,
-                reason: reason.code(),
+                wg,
+                warp,
+                reason,
             },
         );
+        for slot in self.slots {
+            let mut s = lock_ok(slot.lock());
+            s.core.strip_launch(li, lw);
+            s.core.next_ready_at = s.core.next_ready();
+        }
+        self.kernel_end(kernel_id);
     }
-    for slot in slots {
-        let mut s = lock_ok(slot.lock());
-        s.core.strip_launch(li, lw);
-        s.core.next_ready_at = s.core.next_ready();
-    }
-    guard_kernel_end(slots, whole, kernel_id);
-}
 
-/// RCache flush on kernel end: every shard (core order) plus the whole
-/// guard when running unsharded.
-fn guard_kernel_end<'w, 'g>(
-    slots: &[Mutex<CoreSlot<'_>>],
-    whole: &Option<Mutex<&'w mut (dyn MemGuard + 'g)>>,
-    kernel_id: u16,
-) {
-    for slot in slots {
-        let mut s = lock_ok(slot.lock());
-        if let Some(sh) = s.shard.as_deref_mut() {
-            sh.on_kernel_end(kernel_id);
+    /// RCache flush on kernel end: every shard (core order) plus the
+    /// whole guard when running unsharded.
+    fn kernel_end(&self, kernel_id: u16) {
+        for slot in self.slots {
+            let mut s = lock_ok(slot.lock());
+            if let Some(sh) = s.shard.as_deref_mut() {
+                sh.on_kernel_end(kernel_id);
+            }
+        }
+        if let Some(m) = self.whole {
+            lock_ok(m.lock()).on_kernel_end(kernel_id);
         }
     }
-    if let Some(m) = whole {
-        lock_ok(m.lock()).on_kernel_end(kernel_id);
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn outbox_entries_fit_a_cache_line() {
+        assert!(std::mem::size_of::<super::QEv>() <= 64);
     }
 }

@@ -1,4 +1,4 @@
-//! Chrome Trace Event Format writer.
+//! Chrome trace-event format writer.
 //!
 //! Emits the JSON object format understood by `chrome://tracing` and
 //! Perfetto (<https://ui.perfetto.dev>): a top-level `traceEvents` array
@@ -8,14 +8,15 @@
 //!
 //! The writer is deliberately small: duration (`X`), begin/end (`B`/`E`)
 //! and instant (`i`) phases cover everything the simulator records. The
-//! simulator-side converter (`gpushield_sim::Trace::to_chrome`) maps
-//! cores to `pid` and warps to `tid`, so the viewer groups lanes the way
-//! the paper discusses them (per-SM, per-warp).
+//! simulator-side view (`gpushield_sim::schedule::to_chrome`) renders a
+//! flight recorder's scheduling events, mapping cores to `pid` and warps
+//! to `tid`, so the viewer groups lanes the way the paper discusses them
+//! (per-SM, per-warp).
 
 use crate::push_json_string;
 use std::fmt::Write as _;
 
-/// One trace event. Fields map 1:1 to the Trace Event Format keys.
+/// One trace event. Fields map 1:1 to the trace-event format keys.
 #[derive(Debug, Clone)]
 pub struct ChromeEvent {
     /// Event name (shown on the slice).
@@ -155,8 +156,8 @@ mod tests {
         t.push_instant("retire", "sched", 40, 1, 7);
         t.push_span("kernel", "launch", 0, 100, 0, 0);
         let json = t.render();
-        // One rendered object per event, each with the Trace Event
-        // Format's required keys.
+        // One rendered object per event, each with the trace-event
+        // format's required keys.
         assert_eq!(json.matches("\"ph\": ").count(), t.len());
         for key in ["\"name\": ", "\"ts\": ", "\"pid\": ", "\"tid\": "] {
             assert_eq!(json.matches(key).count(), t.len(), "missing {key}");

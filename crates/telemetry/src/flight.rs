@@ -9,6 +9,13 @@
 //! the forensics pass (in the `gpushield` crate) walks the ring backwards
 //! and reconstructs the causal chain.
 //!
+//! The same ring is the engine's execution trace. A recorder built with
+//! [`FlightRecorder::with_schedule`] also keeps the *scheduling kinds*
+//! (workgroup dispatch, memory issue, barrier arrival, warp retire; see
+//! [`FlightEvent::is_schedule`]), which the sim crate's `schedule` views
+//! render as a Chrome trace or a text log. Any other recorder ignores
+//! them, so the always-on observation modes never pay for them.
+//!
 //! # Bounded and allocation-free
 //!
 //! The ring allocates exactly once, at construction. [`FlightRecorder::record`]
@@ -93,6 +100,26 @@ pub enum FlightEvent {
     /// The serving loop rejected a tenant's launch (e.g. region IDs
     /// exhausted).
     TenantReject { tenant: u16 },
+    /// Scheduling kind: workgroup `wg` was placed on `core`.
+    WgDispatch { core: u16, wg: u32 },
+    /// Scheduling kind: a warp issued a memory instruction. `space` is a
+    /// `MemSpace` code (sim crate mapping); `stall` is the visible
+    /// bounds-check stall; `site` is `(block, index)`, absent for
+    /// shared-memory accesses.
+    MemIssue {
+        core: u16,
+        wg: u32,
+        warp: u16,
+        space: u8,
+        is_store: bool,
+        transactions: u8,
+        stall: u8,
+        site: Option<(u32, u32)>,
+    },
+    /// Scheduling kind: a warp arrived at a barrier.
+    BarrierArrive { core: u16, wg: u32, warp: u16 },
+    /// Scheduling kind: a warp retired.
+    WarpRetire { core: u16, wg: u32, warp: u16 },
 }
 
 impl FlightEvent {
@@ -113,7 +140,23 @@ impl FlightEvent {
             FlightEvent::WatchdogTrip { .. } => "watchdog_trip",
             FlightEvent::TenantAdmit { .. } => "tenant_admit",
             FlightEvent::TenantReject { .. } => "tenant_reject",
+            FlightEvent::WgDispatch { .. } => "wg_dispatch",
+            FlightEvent::MemIssue { .. } => "mem_issue",
+            FlightEvent::BarrierArrive { .. } => "barrier_arrive",
+            FlightEvent::WarpRetire { .. } => "warp_retire",
         }
+    }
+
+    /// True for the scheduling kinds, which only a recorder built with
+    /// [`FlightRecorder::with_schedule`] keeps.
+    pub fn is_schedule(&self) -> bool {
+        matches!(
+            self,
+            FlightEvent::WgDispatch { .. }
+                | FlightEvent::MemIssue { .. }
+                | FlightEvent::BarrierArrive { .. }
+                | FlightEvent::WarpRetire { .. }
+        )
     }
 }
 
@@ -138,11 +181,12 @@ pub struct FlightRecorder {
     seq: u64,
     dropped: u64,
     epoch: u64,
+    schedule: bool,
 }
 
 impl FlightRecorder {
     /// A recorder storing at most `capacity` events. The single
-    /// allocation happens here.
+    /// allocation happens here. It ignores the scheduling kinds.
     pub fn new(capacity: usize) -> Self {
         FlightRecorder {
             buf: Vec::with_capacity(capacity),
@@ -151,7 +195,22 @@ impl FlightRecorder {
             seq: 0,
             dropped: 0,
             epoch: 0,
+            schedule: false,
         }
+    }
+
+    /// A recorder storing at most `capacity` events that also keeps the
+    /// scheduling kinds: the engine's execution trace.
+    pub fn with_schedule(capacity: usize) -> Self {
+        FlightRecorder {
+            schedule: true,
+            ..FlightRecorder::new(capacity)
+        }
+    }
+
+    /// True when this recorder keeps the scheduling kinds.
+    pub fn records_schedule(&self) -> bool {
+        self.schedule
     }
 
     /// Counters-only mode: sequence/drop counters advance, nothing is
@@ -202,8 +261,12 @@ impl FlightRecorder {
     }
 
     /// Records `ev` at in-run cycle `t` (global time `epoch + t`). O(1),
-    /// allocation-free.
+    /// allocation-free. A scheduling kind is ignored, without taking a
+    /// sequence number, unless the recorder keeps them.
     pub fn record(&mut self, t: u64, ev: FlightEvent) {
+        if !self.schedule && ev.is_schedule() {
+            return;
+        }
         let rec = FlightRecord {
             seq: self.seq,
             t: self.epoch.saturating_add(t),
@@ -308,6 +371,35 @@ mod tests {
             fr.record(u64::from(i), FlightEvent::CheckElide { block: i, idx: 0 });
         }
         assert_eq!(fr.buf.capacity(), cap_before);
+    }
+
+    #[test]
+    fn records_fit_the_ring_slot_budget() {
+        // The scheduling kinds must not enlarge serve's 4096-slot ring.
+        assert_eq!(std::mem::size_of::<FlightEvent>(), 40);
+        assert_eq!(std::mem::size_of::<FlightRecord>(), 56);
+    }
+
+    #[test]
+    fn only_a_schedule_recorder_keeps_scheduling_kinds() {
+        let retire = FlightEvent::WarpRetire {
+            core: 1,
+            wg: 2,
+            warp: 3,
+        };
+        let (mut plain, mut sched) = (FlightRecorder::new(4), FlightRecorder::with_schedule(4));
+        for fr in [&mut plain, &mut sched] {
+            fr.record(5, retire);
+            fr.record(6, FlightEvent::RegionFree { id: 1 });
+        }
+        // The ignored event takes no sequence number.
+        let seqs = |fr: &FlightRecorder| {
+            fr.iter()
+                .map(|r| (r.seq, r.ev.is_schedule()))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(seqs(&plain), [(0, false)]);
+        assert_eq!(seqs(&sched), [(0, true), (1, false)]);
     }
 
     #[test]

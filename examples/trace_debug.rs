@@ -1,12 +1,12 @@
 //! Execution tracing: watch a kernel's dispatch, memory traffic, barriers,
-//! and retirement cycle by cycle — and see exactly where a bounds
-//! violation fired.
+//! and retirement cycle by cycle through the flight recorder's scheduling
+//! events — and see exactly where a bounds violation fired.
 //!
 //! ```text
 //! cargo run --release --example trace_debug
 //! ```
 
-use gpushield::{Arg, Registry, System, SystemConfig, Trace, TraceKind};
+use gpushield::{schedule, Arg, FlightEvent, FlightRecorder, Registry, System, SystemConfig};
 use gpushield_isa::{KernelBuilder, MemSpace, MemWidth, Operand};
 use std::error::Error;
 use std::sync::Arc;
@@ -32,10 +32,10 @@ fn main() -> Result<(), Box<dyn Error>> {
 
     let mut sys = System::new(SystemConfig::nvidia_protected());
     let buf = sys.alloc(128 * 4)?;
-    let mut trace = Trace::new(4096);
+    let mut flight = FlightRecorder::with_schedule(4096);
     let mut reg = Registry::disabled();
     let args = [Arg::Buffer(buf)];
-    let report = sys.launch_instrumented(kernel, 2, 64, &args, &mut reg, Some(&mut trace))?;
+    let report = sys.launch_instrumented(kernel, 2, 64, &args, &mut reg, Some(&mut flight))?;
     assert!(report.completed());
     assert_eq!(
         sys.read_uint(buf, 0, 4),
@@ -44,22 +44,16 @@ fn main() -> Result<(), Box<dyn Error>> {
     );
 
     println!("== first 20 events ==");
-    for e in trace.events().iter().take(20) {
-        println!("{e}");
+    let log = schedule::render(&flight);
+    for line in log.lines().take(20) {
+        println!("{line}");
     }
-    let barriers = trace
-        .events()
-        .iter()
-        .filter(|e| e.kind == TraceKind::Barrier)
-        .count();
-    let mems = trace
-        .events()
-        .iter()
-        .filter(|e| matches!(e.kind, TraceKind::Mem { .. }))
-        .count();
+    let count = |f: fn(&FlightEvent) -> bool| flight.iter().filter(|r| f(&r.ev)).count();
+    let barriers = count(|e| matches!(e, FlightEvent::BarrierArrive { .. }));
+    let mems = count(|e| matches!(e, FlightEvent::MemIssue { .. }));
     println!(
         "\n{} events total: {barriers} barrier arrivals, {mems} memory instructions",
-        trace.events().len()
+        log.lines().count()
     );
 
     // Now trace an out-of-bounds kernel and find the abort.
@@ -74,14 +68,12 @@ fn main() -> Result<(), Box<dyn Error>> {
     bad.ret();
     let bad = Arc::new(bad.finish()?);
     let small = sys.alloc(64)?;
-    let mut trace = Trace::new(256);
+    let mut flight = FlightRecorder::with_schedule(256);
     let args = [Arg::Buffer(small)];
-    let report = sys.launch_instrumented(bad, 1, 1, &args, &mut reg, Some(&mut trace))?;
+    let report = sys.launch_instrumented(bad, 1, 1, &args, &mut reg, Some(&mut flight))?;
     assert!(!report.completed());
     println!("\n== violating launch ==");
-    for e in trace.events() {
-        println!("{e}");
-    }
+    print!("{}", schedule::render(&flight));
     println!("\n{}", sys.error_report());
     Ok(())
 }

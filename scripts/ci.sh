@@ -28,8 +28,8 @@ panic_sites=$(grep -rEo '\.unwrap\(\)|\.expect\(' \
 # remaining sim/par.rs sites are invariant assertions (live PCs,
 # resident workgroups, forkable guards). 129: the sim unit tests share
 # one kernel builder instead of two identical ones and no longer unwrap
-# trace-event positions.
-panic_ceiling=129
+# trace-event positions. 127: the schedule tests share one run helper.
+panic_ceiling=127
 if [[ "$panic_sites" -gt "$panic_ceiling" ]]; then
     echo "panic surface grew: $panic_sites unwrap/expect sites in" \
          "driver+sim+mem (ceiling $panic_ceiling)" >&2
@@ -40,8 +40,10 @@ echo "   $panic_sites unwrap/expect sites (ceiling $panic_ceiling)"
 echo "== cargo clippy --workspace --all-targets (deny warnings)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
-echo "== cargo build --release --offline"
-cargo build --release --offline
+echo "== cargo build --release --workspace --offline"
+# --workspace: the gates below run the gpushield-bench binaries, which a
+# root-package build does not produce.
+cargo build --release --workspace --offline
 
 echo "== cargo test (workspace, default features) --offline"
 cargo test -q --workspace --offline
@@ -77,6 +79,16 @@ echo "== telemetry schema gate"
 # mismatch means a metric was renamed/removed without regenerating
 # tests/golden/telemetry_schema.json.
 ./target/release/profile --check-schema tests/golden/telemetry_schema.json
+
+echo "== committed Chrome trace (profile --trace vectoradd)"
+# results/trace_vectoradd.json is the flight recorder's scheduling view of
+# vectoradd. It must regenerate byte for byte with the engine run
+# sequentially and sharded 7 ways.
+for st in 1 7; do
+    ./target/release/profile --trace vectoradd --sim-threads "$st" \
+        --out "$out/trace.st$st.json"
+    cmp "$out/trace.st$st.json" results/trace_vectoradd.json
+done
 
 if [[ "${CI_PERF:-1}" == "1" ]]; then
     echo "== stall-attribution exhibit determinism (CI_PERF=0 to skip)"

@@ -7,7 +7,7 @@
 use gpushield::{
     Arg, DriverConfig, DriverError, FaultKind, FaultPlan, FaultSession, FaultTargets, FlightEvent,
     FlightRecorder, Gpu, GpuConfig, KernelLaunch, MultiKernelMode, Registry, RunError, RunHooks,
-    RunReport, System, SystemConfig, SystemError, TenantTable, Trace,
+    RunReport, System, SystemConfig, SystemError, TenantTable,
 };
 use gpushield_isa::{CmpOp, Kernel, KernelBuilder, MemSpace, MemWidth, Operand, TaggedPtr};
 use gpushield_mem::{AllocPolicy, VirtualMemorySpace};
@@ -222,10 +222,11 @@ fn routed_run(faults: Option<usize>, hooks: RunHooks<'_>) -> Result<RunReport, R
     Gpu::new(GpuConfig::test_tiny()).run_with(&mut vm, &[launch], None, hooks)
 }
 
-/// Which engine `Gpu::run_with` takes for each hook combination. A trace
-/// probe tells the two apart: the cycle-quantum engine honours it, the
-/// reference engine (fault injection, range recording) refuses it with a
-/// typed error. Both honour the flight recorder.
+/// Which engine `Gpu::run_with` takes for each hook combination. A
+/// recorder that keeps the scheduling kinds tells the two apart: the
+/// cycle-quantum engine fills it, the reference engine (fault injection,
+/// range recording) refuses it with a typed error. Both honour a plain
+/// flight recorder.
 #[test]
 fn run_with_routes_each_hook_combination_to_one_engine() {
     #[derive(Debug, Clone, Copy, PartialEq)]
@@ -244,16 +245,17 @@ fn run_with_routes_each_hook_combination_to_one_engine() {
     ];
     for (faults, record_ranges, expect) in table {
         let row = format!("faults={faults:?} record_ranges={record_ranges}");
-        let mut trace = Trace::new(1 << 12);
+        let mut probe_rec = FlightRecorder::with_schedule(1 << 12);
         let probe = RunHooks {
-            trace: Some(&mut trace),
+            flight: Some(&mut probe_rec),
             record_ranges,
             ..RunHooks::default()
         };
+        let retire = |e: &FlightEvent| matches!(e, FlightEvent::WarpRetire { .. });
         let engine = match routed_run(faults, probe) {
-            Ok(_) if !trace.events().is_empty() => Quantum,
-            Err(RunError::UnsupportedHook { hook: "trace" }) => Reference,
-            other => panic!("{row}: trace probe gave {other:?}"),
+            Ok(_) if probe_rec.iter().any(|r| retire(&r.ev)) => Quantum,
+            Err(RunError::UnsupportedHook { hook: "schedule" }) => Reference,
+            other => panic!("{row}: schedule probe gave {other:?}"),
         };
         assert_eq!(engine, expect, "{row}");
 
@@ -267,6 +269,10 @@ fn run_with_routes_each_hook_combination_to_one_engine() {
         assert!(report.completed(), "{row}");
         let complete = |e: &FlightEvent| matches!(e, FlightEvent::KernelComplete { .. });
         assert!(flight.iter().any(|r| complete(&r.ev)), "{row}: flight");
+        assert!(
+            !flight.iter().any(|r| r.ev.is_schedule()),
+            "{row}: schedule"
+        );
         let ranges = &report.launches[0].observed_ranges;
         assert_eq!(!ranges.is_empty(), record_ranges, "{row}");
         assert!(ranges.windows(2).all(|w| w[0].site < w[1].site), "{row}");

@@ -1,7 +1,8 @@
 //! End-to-end verification of the Fig. 12 stall-visibility rule through
-//! the execution trace: which memory accesses pay a BCU bubble, and when.
+//! the flight recorder's scheduling events: which memory accesses pay a
+//! BCU bubble, and when.
 
-use gpushield::{Arg, Registry, System, SystemConfig, Trace, TraceKind};
+use gpushield::{Arg, FlightEvent, FlightRecorder, Registry, System, SystemConfig};
 use gpushield_isa::{Kernel, KernelBuilder, MemSpace, MemWidth, Operand};
 use std::sync::Arc;
 
@@ -40,7 +41,7 @@ fn stalls_under(l1_lat: u64, l2_lat: u64) -> (u64, u64) {
     cfg.bcu.l2_latency = l2_lat;
     let mut sys = System::new(cfg);
     let buf = sys.alloc(4096).unwrap();
-    let mut trace = Trace::new(4096);
+    let mut flight = FlightRecorder::with_schedule(4096);
     let r = sys
         .launch_instrumented(
             repeated_load_kernel(12),
@@ -48,14 +49,14 @@ fn stalls_under(l1_lat: u64, l2_lat: u64) -> (u64, u64) {
             32,
             &[Arg::Buffer(buf)],
             &mut Registry::disabled(),
-            Some(&mut trace),
+            Some(&mut flight),
         )
         .unwrap();
     assert!(r.completed());
     let mut stalled = 0u64;
     let mut unstalled = 0u64;
-    for e in trace.events() {
-        if let TraceKind::Mem { stall, .. } = e.kind {
+    for r in flight.iter() {
+        if let FlightEvent::MemIssue { stall, .. } = r.ev {
             if stall > 0 {
                 stalled += 1;
             } else {
@@ -120,7 +121,7 @@ fn multi_transaction_accesses_hide_the_bubble() {
     cfg.bcu.l2_latency = 5;
     let mut sys = System::new(cfg);
     let buf = sys.alloc(32 * 128 + 4096).unwrap();
-    let mut trace = Trace::new(4096);
+    let mut flight = FlightRecorder::with_schedule(4096);
     let r = sys
         .launch_instrumented(
             k,
@@ -128,16 +129,16 @@ fn multi_transaction_accesses_hide_the_bubble() {
             32,
             &[Arg::Buffer(buf)],
             &mut Registry::disabled(),
-            Some(&mut trace),
+            Some(&mut flight),
         )
         .unwrap();
     assert!(r.completed());
-    for e in trace.events() {
-        if let TraceKind::Mem {
+    for r in flight.iter() {
+        if let FlightEvent::MemIssue {
             transactions,
             stall,
             ..
-        } = e.kind
+        } = r.ev
         {
             if transactions > 1 {
                 assert_eq!(stall, 0, "multi-tx access must hide the BCU");
@@ -146,10 +147,9 @@ fn multi_transaction_accesses_hide_the_bubble() {
     }
     // And the strided loads really were multi-transaction.
     assert!(
-        trace
-            .events()
-            .iter()
-            .any(|e| matches!(e.kind, TraceKind::Mem { transactions, .. } if transactions > 8)),
-        "expected heavily uncoalesced accesses in the trace"
+        flight.iter().any(
+            |r| matches!(r.ev, FlightEvent::MemIssue { transactions, .. } if transactions > 8)
+        ),
+        "expected heavily uncoalesced accesses in the schedule"
     );
 }
